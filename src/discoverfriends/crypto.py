@@ -6,8 +6,10 @@ so a ciphertext is exactly padded_len(plaintext) + 16 bytes and wrong
 keys or tampering are always detected rather than yielding garbage.
 
 Key wrapping and certificate signatures use 1024-bit RSA, giving the
-fixed 128-byte blobs the packet accounting relies on. Certificates are a
-fixed 481-byte binary layout (no ASN.1):
+fixed 128-byte blobs the packet accounting relies on. Keys are wrapped
+with RSA-OAEP (MGF1/SHA-256), so unwrapping with the wrong private key
+raises instead of yielding a bogus key; signatures use PKCS#1 v1.5.
+Certificates are a fixed 481-byte binary layout (no ASN.1):
 
     [subject digest 16B][public key 160B][not_before u64][not_after u64]
     [signature 128B][zero pad to 481B]
@@ -38,6 +40,9 @@ SIGNATURE_LEN = RSA_BITS // 8
 PUBKEY_LEN = 160
 CERT_LEN = 481
 _CERT_BODY_LEN = 16 + PUBKEY_LEN + 8 + 8
+_WRAP_PADDING = asym_padding.OAEP(
+    mgf=asym_padding.MGF1(algorithm=hashes.SHA256()), algorithm=hashes.SHA256(), label=None
+)
 
 # Fixed key for the expandable keystream generator; the seed is the secret.
 _PRG_KEY = hashlib.sha256(b"discoverfriends.keystream.v1").digest()[:16]
@@ -194,14 +199,14 @@ def parse_public_key(blob: bytes) -> rsa.RSAPublicKey:
 
 def wrap_key(peer_public: rsa.RSAPublicKey, key: SymmetricKey) -> bytes:
     """Encrypt a symmetric key to the peer; always 128 bytes."""
-    return peer_public.encrypt(key.key_bytes, asym_padding.PKCS1v15())
+    return peer_public.encrypt(key.key_bytes, _WRAP_PADDING)
 
 
 def unwrap_key(private: rsa.RSAPrivateKey, wrapped: bytes) -> SymmetricKey:
     if len(wrapped) != WRAPPED_LEN:
         raise KeyUnwrapError(f"wrapped blob must be {WRAPPED_LEN} bytes")
     try:
-        key_bytes = private.decrypt(wrapped, asym_padding.PKCS1v15())
+        key_bytes = private.decrypt(wrapped, _WRAP_PADDING)
     except ValueError as exc:
         raise KeyUnwrapError("key unwrap failed") from exc
     if len(key_bytes) != KEY_LEN:
@@ -278,6 +283,11 @@ def verify_certificate(cert: Certificate, now: int) -> CertStatus:
         )
     except Exception:
         return CertStatus.BAD_SIGNATURE
+    return validity_status(cert, now)
+
+
+def validity_status(cert: Certificate, now: int) -> CertStatus:
+    """The validity window alone: VALID iff not_before <= now <= not_after."""
     if not cert.not_before <= now <= cert.not_after:
         return CertStatus.EXPIRED
     return CertStatus.VALID

@@ -42,24 +42,11 @@ class KeyRepository:
         return self.neighbor_keys.get(node)
 
 
-def record_neighbor_key(repo: KeyRepository, node: NodeId, key: bytes) -> KeyRepository:
-    """Record a neighbor's key; idempotent, conflicting keys raise KeyConflict."""
-    repo.record(node, key)
-    return repo
-
-
 @dataclass
 class SharedKeyRepository:
     """Keys of every node learned during initialization (superset of the KR)."""
 
     all_keys: dict[NodeId, bytes] = field(default_factory=dict)
-
-    def merge(self, repo: KeyRepository) -> None:
-        for node, key in repo.neighbor_keys.items():
-            existing = self.all_keys.get(node)
-            if existing is not None and existing != key:
-                raise KeyConflict(f"conflicting key for node {node}")
-            self.all_keys[node] = key
 
     def record(self, node: NodeId, key: bytes) -> None:
         existing = self.all_keys.get(node)
@@ -81,11 +68,18 @@ class TrustGraph:
 
 @dataclass(frozen=True)
 class MasterGraph:
-    """Immutable snapshot of a trust graph taken when initialization ends."""
+    """Immutable snapshot of a trust graph taken when initialization ends.
+
+    Since the snapshot never changes, the set reachable from each source is
+    computed once and memoized in ``_reachable``.
+    """
 
     nodes: frozenset[NodeId]
     edges: frozenset[tuple[NodeId, NodeId]]
     frozen_at: int
+    _reachable: dict[NodeId, frozenset[NodeId]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
 def build_trust_graph(
@@ -107,28 +101,33 @@ def build_trust_graph(
     return graph
 
 
+def _reachable_from(edges: frozenset | set, src: NodeId) -> frozenset[NodeId]:
+    """Every node reachable from src along directed edges, src included."""
+    adjacency: dict[NodeId, list[NodeId]] = {}
+    for a, b in edges:
+        adjacency.setdefault(a, []).append(b)
+    seen = {src}
+    queue = deque([src])
+    while queue:
+        for nxt in adjacency.get(queue.popleft(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return frozenset(seen)
+
+
 def trust_path_exists(
     graph: TrustGraph | MasterGraph, src: NodeId, dst: NodeId
 ) -> bool:
     """Directed reachability src -> dst; False if either node is absent."""
     if src not in graph.nodes or dst not in graph.nodes:
         return False
-    if src == dst:
-        return True
-    adjacency: dict[NodeId, list[NodeId]] = {}
-    for a, b in graph.edges:
-        adjacency.setdefault(a, []).append(b)
-    seen = {src}
-    queue = deque([src])
-    while queue:
-        node = queue.popleft()
-        for nxt in adjacency.get(node, ()):
-            if nxt == dst:
-                return True
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return False
+    if not isinstance(graph, MasterGraph):
+        return dst in _reachable_from(graph.edges, src)
+    reachable = graph._reachable.get(src)
+    if reachable is None:
+        reachable = graph._reachable[src] = _reachable_from(graph.edges, src)
+    return dst in reachable
 
 
 def snapshot_master(graph: TrustGraph, now: int) -> MasterGraph:
@@ -156,23 +155,6 @@ class CertRepository:
     def get(self, subject_digest: bytes) -> crypto.Certificate | None:
         return self.certs.get(subject_digest)
 
-    def save(self, path: str) -> None:
-        entries = sorted(self.certs.values(), key=lambda c: c.subject_digest)
-        with open(path, "wb") as fh:
-            fh.write(len(entries).to_bytes(4, "little"))
-            for cert in entries:
-                fh.write(cert.to_bytes())
-
-    @classmethod
-    def load(cls, path: str) -> "CertRepository":
-        repo = cls()
-        with open(path, "rb") as fh:
-            count = int.from_bytes(fh.read(4), "little")
-            for _ in range(count):
-                cert = crypto.Certificate.from_bytes(fh.read(crypto.CERT_LEN))
-                repo.certs[cert.subject_digest] = cert
-        return repo
-
 
 def admit_certificate(
     cr: CertRepository,
@@ -182,8 +164,15 @@ def admit_certificate(
     local: NodeId,
     now: int,
 ) -> AdmitResult:
-    """Store the certificate iff it verifies and the issuer is trust-reachable."""
-    status = crypto.verify_certificate(cert, now)
+    """Store the certificate iff it verifies and the issuer is trust-reachable.
+
+    A certificate equal to the stored one (signature bytes included) verified
+    when it was first admitted, so only its validity window is checked again.
+    """
+    if cert == cr.certs.get(cert.subject_digest):
+        status = crypto.validity_status(cert, now)
+    else:
+        status = crypto.verify_certificate(cert, now)
     if status is crypto.CertStatus.BAD_SIGNATURE:
         return AdmitResult.BAD_SIGNATURE
     if status is crypto.CertStatus.EXPIRED:

@@ -46,14 +46,6 @@ FRAME_REPLY = 1
 FRAME_CERT_UPDATE = 2
 FRAME_DATA = 3
 
-FRAME_NAMES = {
-    FRAME_SETUP: "setup",
-    FRAME_REPLY: "reply",
-    FRAME_CERT_UPDATE: "cert_update",
-    FRAME_DATA: "data",
-}
-
-
 class ProtocolError(Exception):
     """Operation attempted outside its role/phase preconditions."""
 
@@ -169,7 +161,6 @@ def decode_frame(blob: bytes) -> Frame:
 
 @dataclass(frozen=True)
 class Peer:
-    public_key_bytes: bytes
     certificate: Certificate
 
 
@@ -230,7 +221,7 @@ class SessionState:
     def stored_key_bytes(self) -> int:
         """Key material kept for messaging: public key + certificate per peer."""
         return sum(
-            len(p.public_key_bytes) + crypto.CERT_LEN for p in self.peers.values()
+            len(p.certificate.public_key) + crypto.CERT_LEN for p in self.peers.values()
         )
 
 
@@ -354,7 +345,7 @@ def complete_initialization(
             now=now,
         )
         if result is keymgmt.AdmitResult.ACCEPTED:
-            initiator.peers[cert.subject_digest] = Peer(cert.public_key, cert)
+            initiator.peers[cert.subject_digest] = Peer(cert)
             admitted.append(cert)
         else:
             logger.info("dropping reply certificate: %s", result.value)
@@ -385,7 +376,7 @@ def apply_cert_update(
             now=now,
         )
         if result is keymgmt.AdmitResult.ACCEPTED:
-            state.peers[cert.subject_digest] = Peer(cert.public_key, cert)
+            state.peers[cert.subject_digest] = Peer(cert)
         else:
             logger.info("dropping updated certificate: %s", result.value)
     return state
@@ -406,7 +397,7 @@ def send_message(
         )
     key = crypto.random_key(sender.rng)
     body = crypto.sym_encrypt(key, plaintext)
-    wrapped = crypto.wrap_key(crypto.parse_public_key(peer.public_key_bytes), key)
+    wrapped = crypto.wrap_key(crypto.parse_public_key(peer.certificate.public_key), key)
     return DataMessage(wrapped_key=wrapped, body=body)
 
 
