@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import crypto
+
 _M32 = 0xFFFFFFFF
 
 # Distinct seeds for the double-hashing pair.
@@ -167,13 +169,9 @@ class BloomFilter:
         return True
 
     def xor_mask(self, mask: bytes) -> "BloomFilter":
-        """XOR the full bit array with ``mask`` (involutive)."""
-        if len(mask) != self.params.byte_length:
-            raise ValueError(
-                f"mask must be {self.params.byte_length} bytes, got {len(mask)}"
-            )
-        masked = bytes(a ^ b for a, b in zip(self.bits, mask))
-        return BloomFilter(self.params, _clear_spare_bits(masked, self.params.m_bits))
+        """XOR the full bit array with an equal-length ``mask`` (involutive)."""
+        masked = crypto.xor_bytes(self.bits, mask)
+        return BloomFilter(self.params, clear_spare_bits(masked, self.params.m_bits))
 
     def to_bytes(self) -> bytes:
         """Wire form: m_bits u32 LE, k_hashes u32 LE, then the bit array."""
@@ -196,15 +194,11 @@ class BloomFilter:
         return cls(params, payload)
 
 
-def _clear_spare_bits(bits: bytes, m_bits: int) -> bytes:
+def clear_spare_bits(bits: bytes, m_bits: int) -> bytes:
+    """Zero any bits at positions >= m_bits in the final byte."""
     spare = len(bits) * 8 - m_bits
     if spare == 0:
         return bits
     buf = bytearray(bits)
     buf[-1] &= 0xFF >> spare
     return bytes(buf)
-
-
-def clear_spare_bits(bits: bytes, m_bits: int) -> bytes:
-    """Zero any bits at positions >= m_bits in the final byte."""
-    return _clear_spare_bits(bits, m_bits)

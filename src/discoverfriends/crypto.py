@@ -15,6 +15,10 @@ Certificates are a fixed 481-byte binary layout (no ASN.1):
     [signature 128B][zero pad to 481B]
 
 with the signature taken over the first 192 bytes.
+
+Identity masks and DPF rows come from one seeded expander,
+``keystream_many``; ``keystream`` is its one-seed form, and
+``xor_bytes`` is the one bytewise XOR.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from random import Random
 
+import numpy as np
 from cryptography.hazmat.primitives import hashes, padding
 from cryptography.hazmat.primitives.asymmetric import padding as asym_padding
 from cryptography.hazmat.primitives.asymmetric import rsa
@@ -73,19 +78,14 @@ def random_key(rng: Random | None = None) -> "SymmetricKey":
     return SymmetricKey(rng.randbytes(KEY_LEN))
 
 
-def prg_permute(blocks: bytes) -> bytes:
-    """AES permutation under the fixed keystream key; whole blocks only."""
-    if len(blocks) % BLOCK_LEN:
-        raise ValueError("input must be a multiple of the block length")
-    enc = Cipher(algorithms.AES(_PRG_KEY), modes.ECB()).encryptor()
-    return enc.update(blocks) + enc.finalize()
-
-
 _PRG_CHUNK = 1 << 16
 
 
 def prg_permute_into(blocks, out) -> None:
-    """prg_permute over buffer protocol objects, chunked to stay cache-friendly."""
+    """AES permutation under the fixed keystream key, from one buffer into another.
+
+    Whole blocks only; chunked to stay cache-friendly.
+    """
     n = len(blocks)
     if n % BLOCK_LEN or len(out) != n:
         raise ValueError("buffers must be equal block-multiple lengths")
@@ -101,25 +101,38 @@ def prg_permute_into(blocks, out) -> None:
     enc.finalize()
 
 
-def keystream(seed: bytes, length: int) -> bytes:
-    """Deterministic keystream expanded from a 16-byte seed.
+def keystream_many(seeds: np.ndarray, length: int) -> np.ndarray:
+    """Expand (k, 16) uint8 seeds into (k, length) uint8 keystream rows.
 
-    Blocks are AES(seed XOR counter) XOR (seed XOR counter) under a fixed
-    key, i.e. a one-way Matyas-Meyer-Oseas style expansion, so observing
-    output does not reveal the seed.
+    Block i of a row is AES(seed XOR i) XOR (seed XOR i) under a fixed
+    key, with i a 128-bit big-endian counter: a one-way Matyas-Meyer-Oseas
+    style expansion, so observing output does not reveal the seed. All
+    rows go through one AES pass.
     """
-    if len(seed) != KEY_LEN:
-        raise ValueError(f"seed must be {KEY_LEN} bytes, got {len(seed)}")
+    if seeds.ndim != 2 or seeds.shape[1] != KEY_LEN:
+        raise ValueError(f"seeds must be {KEY_LEN} bytes each, got shape {seeds.shape}")
     if length < 0:
         raise ValueError("length must be non-negative")
     nblocks = (length + BLOCK_LEN - 1) // BLOCK_LEN
-    xs = bytearray()
-    for i in range(nblocks):
-        ctr = i.to_bytes(BLOCK_LEN, "big")
-        xs += bytes(a ^ b for a, b in zip(seed, ctr))
-    ys = prg_permute(bytes(xs))
-    out = bytes(a ^ b for a, b in zip(ys, xs))
-    return out[:length]
+    counters = np.zeros((nblocks, BLOCK_LEN), dtype=np.uint8)
+    counters[:, 8:] = np.arange(nblocks, dtype=">u8").view(np.uint8).reshape(nblocks, 8)
+    x = seeds[:, None, :] ^ counters[None, :, :]
+    y = np.empty_like(x)
+    prg_permute_into(x.reshape(-1).data, y.reshape(-1).data)
+    y ^= x
+    return y.reshape(len(seeds), nblocks * BLOCK_LEN)[:, :length]
+
+
+def keystream(seed: bytes, length: int) -> bytes:
+    """The keystream_many row of one 16-byte seed."""
+    return keystream_many(np.frombuffer(seed, dtype=np.uint8).reshape(1, -1), length)[0].tobytes()
+
+
+def xor_bytes(a: bytes, b: bytes) -> bytes:
+    """Bytewise XOR of two equal-length byte strings."""
+    if len(a) != len(b):
+        raise ValueError(f"cannot XOR {len(a)} bytes with {len(b)} bytes")
+    return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(len(a), "little")
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ f(x), while any p-1 keys look like random noise.
 
 The construction views the 2^n-index domain as a grid of 2^ceil(n/2)
 rows by 2^floor(n/2) columns. Per row there are 2^(p-1) random 16-byte
-seeds, each expanding through a keystream generator to a full row of
-output bytes, plus 2^(p-1) shared correction words of the same width.
+seeds, each expanding to a full row of output bytes through
+crypto.keystream_many, the package's one keystream expander, plus
+2^(p-1) shared correction words of the same width.
 Every party holds a per-row selection mask saying which seed/word pairs
 it XORs together. Stacked across parties, each selection column has even
 parity on ordinary rows (so expansions cancel pairwise) and odd parity
@@ -40,6 +41,13 @@ SEED_LEN = 16
 # probability ~2^-32 instead of ~2^-8, so partial or garbled databases
 # never decode as legitimate messages.
 SLOT_HEADER_LEN = 4
+# Selection sampling enumerates all 2^p party subsets, and a key holds
+# 2^(p-1) seeds per row, so p stays small; scenarios use 2 or 3 servers.
+MAX_PARTIES = 8
+# Header of a key encoding: party index, input bits, party count, u32 output_len.
+_KEY_HEADER_LEN = 7
+# Row bytes expanded per chunk of _expand_rows.
+_EVAL_CHUNK_BYTES = 1 << 18
 
 
 class SealedEpochError(Exception):
@@ -63,8 +71,8 @@ class DpfParams:
             raise ValueError(f"input_bits must be in [1, 24], got {self.input_bits}")
         if self.output_len < 1:
             raise ValueError("output_len must be >= 1")
-        if self.party_count < 2:
-            raise ValueError("party_count must be >= 2")
+        if not 2 <= self.party_count <= MAX_PARTIES:
+            raise ValueError(f"party_count must be in [2, {MAX_PARTIES}], got {self.party_count}")
 
     @property
     def domain_size(self) -> int:
@@ -82,48 +90,62 @@ class DpfParams:
     def seeds_per_row(self) -> int:
         return 1 << (self.party_count - 1)
 
+    @property
+    def word_len(self) -> int:
+        """Bytes in one grid row: a correction word or a seed expansion."""
+        return self.grid_cols * self.output_len
+
+    @property
+    def mask_bytes(self) -> int:
+        return (self.seeds_per_row + 7) // 8
+
+    @property
+    def key_len(self) -> int:
+        """Length of one party's key encoding."""
+        return (
+            _KEY_HEADER_LEN
+            + self.grid_rows * self.seeds_per_row * SEED_LEN
+            + self.seeds_per_row * self.word_len
+            + self.grid_rows * self.mask_bytes
+        )
+
 
 @dataclass
 class DpfKey:
     """One party's share of a point function."""
 
     party_index: int
-    input_bits: int
-    output_len: int
-    party_count: int
+    params: DpfParams
     row_seeds: list[list[bytes]]  # grid_rows x seeds_per_row, 16B each
-    correction_words: list[bytes]  # seeds_per_row entries, grid_cols*output_len each
+    correction_words: list[bytes]  # seeds_per_row entries, word_len each
     row_bits: list[int]  # per row, a seeds_per_row-bit selection mask
-
-    @property
-    def params(self) -> DpfParams:
-        return DpfParams(self.input_bits, self.output_len, self.party_count)
 
     def to_bytes(self) -> bytes:
         p = self.params
         out = bytearray()
-        out += bytes([self.party_index, self.input_bits, self.party_count])
-        out += self.output_len.to_bytes(4, "little")
+        out += bytes([self.party_index, p.input_bits, p.party_count])
+        out += p.output_len.to_bytes(4, "little")
         for row in self.row_seeds:
             for seed in row:
                 out += seed
         for word in self.correction_words:
             out += word
-        mask_bytes = (p.seeds_per_row + 7) // 8
         for bits in self.row_bits:
-            out += bits.to_bytes(mask_bytes, "little")
+            out += bits.to_bytes(p.mask_bytes, "little")
         return bytes(out)
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "DpfKey":
-        if len(blob) < 7:
+        if len(blob) < _KEY_HEADER_LEN:
             raise ValueError("truncated key encoding")
         party_index, input_bits, party_count = blob[0], blob[1], blob[2]
         output_len = int.from_bytes(blob[3:7], "little")
         p = DpfParams(input_bits, output_len, party_count)
         if party_index >= party_count:
             raise ValueError(f"party index {party_index} outside {party_count} parties")
-        off = 7
+        if len(blob) != p.key_len:
+            raise ValueError(f"key encoding must be {p.key_len} bytes, got {len(blob)}")
+        off = _KEY_HEADER_LEN
         row_seeds = []
         for _ in range(p.grid_rows):
             row = []
@@ -131,22 +153,15 @@ class DpfKey:
                 row.append(blob[off : off + SEED_LEN])
                 off += SEED_LEN
             row_seeds.append(row)
-        word_len = p.grid_cols * p.output_len
         correction_words = []
         for _ in range(p.seeds_per_row):
-            correction_words.append(blob[off : off + word_len])
-            off += word_len
-        mask_bytes = (p.seeds_per_row + 7) // 8
+            correction_words.append(blob[off : off + p.word_len])
+            off += p.word_len
         row_bits = []
         for _ in range(p.grid_rows):
-            row_bits.append(int.from_bytes(blob[off : off + mask_bytes], "little"))
-            off += mask_bytes
-        if off != len(blob):
-            raise ValueError("trailing bytes in key encoding")
-        return cls(
-            party_index, input_bits, output_len, party_count,
-            row_seeds, correction_words, row_bits,
-        )
+            row_bits.append(int.from_bytes(blob[off : off + p.mask_bytes], "little"))
+            off += p.mask_bytes
+        return cls(party_index, p, row_seeds, correction_words, row_bits)
 
 
 def _resolve_rng(rng: Random | int | None) -> Random:
@@ -157,8 +172,9 @@ def _resolve_rng(rng: Random | int | None) -> Random:
     return Random(rng)
 
 
-def _xor_bytes(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
+def _stack(blobs: list[bytes], width: int) -> np.ndarray:
+    """Equal-length byte strings as the rows of a (len(blobs), width) uint8 array."""
+    return np.frombuffer(b"".join(blobs), dtype=np.uint8).reshape(len(blobs), width)
 
 
 def _even_odd_patterns(party_count: int) -> tuple[list[int], list[int]]:
@@ -214,7 +230,7 @@ def dpf_gen(
     rng = _resolve_rng(rng)
     rows, cols = params.grid_rows, params.grid_cols
     slots = params.seeds_per_row
-    word_len = cols * params.output_len
+    word_len = params.word_len
     special_row, special_col = divmod(alpha, cols)
 
     true_seeds = [[rng.randbytes(SEED_LEN) for _ in range(slots)] for _ in range(rows)]
@@ -226,12 +242,9 @@ def dpf_gen(
     target = bytearray(word_len)
     start = special_col * params.output_len
     target[start : start + params.output_len] = beta
-    last = bytes(target)
-    for seed in true_seeds[special_row]:
-        last = _xor_bytes(last, crypto.keystream(seed, word_len))
-    for word in words:
-        last = _xor_bytes(last, word)
-    words.append(last)
+    expansions = crypto.keystream_many(_stack(true_seeds[special_row], SEED_LEN), word_len)
+    last = np.bitwise_xor.reduce(np.vstack([expansions, _stack([*words, bytes(target)], word_len)]))
+    words.append(last.tobytes())
 
     selections = [
         _sample_selection_matrix(rng, params.party_count, slots, i == special_row)
@@ -252,9 +265,7 @@ def dpf_gen(
         keys.append(
             DpfKey(
                 party_index=t,
-                input_bits=params.input_bits,
-                output_len=params.output_len,
-                party_count=params.party_count,
+                params=params,
                 row_seeds=seeds_t,
                 correction_words=list(words),
                 row_bits=[selections[i][t] for i in range(rows)],
@@ -263,17 +274,35 @@ def dpf_gen(
     return keys
 
 
-def _expand_row(key: DpfKey, row: int) -> bytes:
-    """XOR of the selected seed expansions and correction words for one row."""
+def _expand_rows(key: DpfKey, rows: range) -> np.ndarray:
+    """Per row, the XOR of its selected seed expansions and correction words.
+
+    Rows go in fixed-size chunks, so the working set stays cache-resident
+    for any output_len and runtime stays proportional to the bytes
+    expanded. In a chunk, all selected seeds go through one keystream_many
+    call, and the XOR fold runs once per selection multiplicity over every
+    row that has that many selections.
+    """
     p = key.params
-    word_len = p.grid_cols * p.output_len
-    acc = bytes(word_len)
-    mask = key.row_bits[row]
-    for l in range(p.seeds_per_row):
-        if (mask >> l) & 1:
-            acc = _xor_bytes(acc, crypto.keystream(key.row_seeds[row][l], word_len))
-            acc = _xor_bytes(acc, key.correction_words[l])
-    return acc
+    words = _stack(key.correction_words, p.word_len)
+    out = np.empty((len(rows), p.word_len), dtype=np.uint8)
+    step = max(1, _EVAL_CHUNK_BYTES // p.word_len)
+    for c0 in range(0, len(rows), step):
+        chunk = rows[c0 : c0 + step]
+        picks = [[l for l in range(p.seeds_per_row) if (key.row_bits[i] >> l) & 1] for i in chunk]
+        if not all(picks):
+            # dpf_gen never emits an empty selection
+            raise ValueError("key has a row with no selected seeds")
+        counts = np.array([len(slots) for slots in picks])
+        starts = np.cumsum(counts) - counts
+        seeds = _stack([key.row_seeds[i][l] for i, slots in zip(chunk, picks) for l in slots], SEED_LEN)
+        contrib = crypto.keystream_many(seeds, p.word_len)
+        contrib ^= words[[l for slots in picks for l in slots]]
+        out[c0 : c0 + len(chunk)] = contrib[starts]
+        for level in range(1, counts.max()):
+            hit = np.flatnonzero(counts > level)
+            out[c0 + hit] ^= contrib[starts[hit] + level]
+    return out
 
 
 def dpf_eval(key: DpfKey, x: int) -> bytes:
@@ -282,8 +311,8 @@ def dpf_eval(key: DpfKey, x: int) -> bytes:
     if not 0 <= x < p.domain_size:
         raise ValueError(f"x {x} outside domain of size {p.domain_size}")
     row, col = divmod(x, p.grid_cols)
-    expanded = _expand_row(key, row)
-    return expanded[col * p.output_len : (col + 1) * p.output_len]
+    expanded = _expand_rows(key, range(row, row + 1))[0]
+    return expanded[col * p.output_len : (col + 1) * p.output_len].tobytes()
 
 
 @dataclass
@@ -328,71 +357,10 @@ class ShareDatabase:
         )
 
 
-def _counter_blocks(nblocks: int) -> np.ndarray:
-    ctr = np.zeros((nblocks, SEED_LEN), dtype=np.uint8)
-    ctr[:, 8:] = np.arange(nblocks, dtype=">u8").view(np.uint8).reshape(nblocks, 8)
-    return ctr
-
-
 def eval_full(key: DpfKey) -> ShareDatabase:
-    """Evaluate every index, one batched expansion per selected seed.
-
-    Matches dpf_eval pointwise but amortizes the keystream work: all
-    selected seeds across all rows go through one chunked AES pass, and
-    per-row XOR folding is vectorized over selection multiplicity, so
-    runtime stays proportional to domain_size * output_len.
-    """
+    """Evaluate every index; matches dpf_eval pointwise."""
     p = key.params
-    word_len = p.grid_cols * p.output_len
-    nblocks = (word_len + SEED_LEN - 1) // SEED_LEN
-
-    sel_words: list[int] = []
-    sel_seeds: list[bytes] = []
-    row_starts = []
-    for i in range(p.grid_rows):
-        row_starts.append(len(sel_seeds))
-        mask = key.row_bits[i]
-        if mask == 0:
-            # gen never emits empty selections; guard the reduction below
-            raise ValueError("key has a row with no selected seeds")
-        for l in range(p.seeds_per_row):
-            if (mask >> l) & 1:
-                sel_words.append(l)
-                sel_seeds.append(key.row_seeds[i][l])
-
-    k = len(sel_seeds)
-    seeds_arr = np.frombuffer(b"".join(sel_seeds), dtype=np.uint8).reshape(k, SEED_LEN)
-    ctr = _counter_blocks(nblocks)
-    words_arr = np.frombuffer(b"".join(key.correction_words), dtype=np.uint8).reshape(
-        p.seeds_per_row, word_len
-    )
-    sel_words_arr = np.array(sel_words)
-    starts = np.append(np.array(row_starts), k)
-    counts = np.diff(np.array(starts))
-
-    # Fixed-size chunks keep the working set cache-resident for any
-    # output_len, so cost per byte (and hence the size/time trend) holds.
-    bytes_per_row = max(1, (k * nblocks * SEED_LEN) // p.grid_rows)
-    rows_per_chunk = max(1, (1 << 17) // bytes_per_row)
-
-    row_values = np.empty((p.grid_rows, word_len), dtype=np.uint8)
-    for r0 in range(0, p.grid_rows, rows_per_chunk):
-        r1 = min(p.grid_rows, r0 + rows_per_chunk)
-        i0, i1 = starts[r0], starts[r1]
-        x = seeds_arr[i0:i1, None, :] ^ ctr[None, :, :]
-        y = np.empty_like(x)
-        crypto.prg_permute_into(x.reshape(-1).data, y.reshape(-1).data)
-        y ^= x
-        streams = y.reshape(i1 - i0, nblocks * SEED_LEN)[:, :word_len]
-        contrib = streams ^ words_arr[sel_words_arr[i0:i1]]
-
-        local_starts = starts[r0:r1] - i0
-        row_values[r0:r1] = contrib[local_starts]
-        local_counts = counts[r0:r1]
-        for extra in range(1, int(local_counts.max())):
-            rows = np.nonzero(local_counts > extra)[0]
-            row_values[r0 + rows] ^= contrib[local_starts[rows] + extra]
-    return ShareDatabase(row_values.reshape(p.domain_size, p.output_len))
+    return ShareDatabase(_expand_rows(key, range(p.grid_rows)).reshape(p.domain_size, p.output_len))
 
 
 @dataclass
@@ -401,7 +369,6 @@ class Epoch:
 
     epoch_id: int
     params: DpfParams
-    received_keys: list[DpfKey] = field(default_factory=list)
     client_ids: list[str] = field(default_factory=list)
     delta_share: ShareDatabase = None  # type: ignore[assignment]
     state: str = "open"
@@ -418,7 +385,6 @@ def server_accumulate(epoch: Epoch, key: DpfKey, client_id: str | None = None) -
     if key.params != epoch.params:
         raise ValueError("key parameters do not match the epoch")
     epoch.delta_share.xor_update(eval_full(key))
-    epoch.received_keys.append(key)
     if client_id is not None:
         epoch.client_ids.append(client_id)
     return epoch

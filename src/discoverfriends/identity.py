@@ -61,7 +61,7 @@ def composite_of(ids: list[OsnId]) -> CompositeId:
         raise ValueError("duplicate network IDs would cancel to zero")
     acc = bytes(DIGEST_LEN)
     for d in digests:
-        acc = bytes(a ^ b for a, b in zip(acc, d))
+        acc = crypto.xor_bytes(acc, d)
     return CompositeId(acc)
 
 

@@ -277,9 +277,7 @@ def build_setup_request(
     for target in targets:
         bf = bf.insert(target.digest)
     mask = identity.id_mask(initiator.composite, params.m_bits)
-    bf_plus = clear_spare_bits(
-        bytes(a ^ b for a, b in zip(bf.bits, mask)), params.m_bits
-    )
+    bf_plus = clear_spare_bits(crypto.xor_bytes(bf.bits, mask), params.m_bits)
     own_key = identity.sym_key_of(initiator.composite)
     cf = crypto.sym_encrypt(own_key, initiator.certificate.to_bytes())
     initiator._advance(Phase.DISCOVERING)
@@ -298,9 +296,7 @@ def process_setup_request(
     if not req.bf_c.contains(target.composite.digest):
         return Ignore()
     m_bits = req.bf_c.params.m_bits
-    mask = clear_spare_bits(
-        bytes(a ^ b for a, b in zip(req.bf_c.bits, req.bf_c_plus)), m_bits
-    )
+    mask = clear_spare_bits(crypto.xor_bytes(req.bf_c.bits, req.bf_c_plus), m_bits)
     initiator_id = target._masks_for(m_bits).get(mask)
     if initiator_id is None:
         return Reject("unknown_initiator")

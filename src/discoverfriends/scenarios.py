@@ -769,7 +769,7 @@ def run_adversary(cfg: ScenarioConfig) -> Report:
     request = protocol.build_setup_request(initiator, targets, params, now)
 
     # Eve runs the mask recovery offline against her own friend list.
-    recovered_mask = bytes(a ^ b for a, b in zip(request.bf_c.bits, request.bf_c_plus))
+    recovered_mask = crypto.xor_bytes(request.bf_c.bits, request.bf_c_plus)
     eve_masks = {
         identity.id_mask(c, params.m_bits): c for c in eve_friends.composites()
     }

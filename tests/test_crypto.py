@@ -1,6 +1,11 @@
+import hashlib
 from random import Random
 
+import numpy as np
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discoverfriends import crypto
 from discoverfriends.crypto import (
@@ -10,6 +15,7 @@ from discoverfriends.crypto import (
     KeyUnwrapError,
     SymmetricKey,
     keystream,
+    keystream_many,
     make_certificate,
     padded_len,
     sym_decrypt,
@@ -17,6 +23,7 @@ from discoverfriends.crypto import (
     unwrap_key,
     verify_certificate,
     wrap_key,
+    xor_bytes,
 )
 
 NOW = 1_700_000_000
@@ -39,6 +46,51 @@ def test_keystream_distinct_seeds_differ():
 def test_keystream_seed_length_enforced():
     with pytest.raises(ValueError):
         keystream(b"short", 16)
+
+
+def test_keystream_known_answers():
+    assert hashlib.sha256(keystream(bytes(16), 4096)).hexdigest() == (
+        "e9eed48b777b0da2996ed93189177195e2d912d93d1c232ae9cc8d703eb4dca0"
+    )
+    assert hashlib.sha256(keystream(bytes(range(16)), 1018)).hexdigest() == (
+        "16e2d42706d77564c699d40329fb9c4cb722f69563c0dbb08721b7e6169fd83d"
+    )
+
+
+def _reference_keystream(seed: bytes, length: int) -> bytes:
+    """Block i: AES-ECB(seed ^ i) ^ (seed ^ i) under the fixed key, i big-endian."""
+    out = b""
+    for i in range((length + 15) // 16):
+        x = bytes(s ^ c for s, c in zip(seed, i.to_bytes(16, "big")))
+        enc = Cipher(algorithms.AES(crypto._PRG_KEY), modes.ECB()).encryptor()
+        y = enc.update(x) + enc.finalize()
+        out += bytes(a ^ b for a, b in zip(y, x))
+    return out[:length]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds=st.lists(st.binary(min_size=16, max_size=16), max_size=4), length=st.integers(0, 3000))
+def test_keystream_many_rows_match_keystream_and_reference(seeds, length):
+    rows = keystream_many(np.frombuffer(b"".join(seeds), dtype=np.uint8).reshape(-1, 16), length)
+    assert rows.shape == (len(seeds), length)
+    for seed, row in zip(seeds, rows):
+        assert row.tobytes() == keystream(seed, length) == _reference_keystream(seed, length)
+
+
+def test_keystream_many_rejects_bad_shapes_and_lengths():
+    with pytest.raises(ValueError):
+        keystream_many(np.zeros((2, 15), dtype=np.uint8), 16)
+    with pytest.raises(ValueError):
+        keystream_many(np.zeros(16, dtype=np.uint8), 16)
+    with pytest.raises(ValueError):
+        keystream_many(np.zeros((1, 16), dtype=np.uint8), -1)
+
+
+def test_xor_bytes():
+    assert xor_bytes(b"\x0f\xf0\x00", b"\xff\xff\x01") == b"\xf0\x0f\x01"
+    assert xor_bytes(b"", b"") == b""
+    with pytest.raises(ValueError):
+        xor_bytes(b"\x00\x01", b"\x00")
 
 
 def test_symmetric_key_length_enforced():

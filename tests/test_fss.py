@@ -1,3 +1,4 @@
+import time
 from random import Random
 
 import numpy as np
@@ -55,6 +56,9 @@ def test_param_validation():
         DpfParams(4, 0, 2)
     with pytest.raises(ValueError):
         DpfParams(4, 1, 1)
+    with pytest.raises(ValueError):
+        DpfParams(4, 1, 9)
+    assert DpfParams(4, 1, 8).seeds_per_row == 128
 
 
 def test_gen_argument_validation():
@@ -195,6 +199,36 @@ def test_key_wire_rejects_malformed():
         DpfKey.from_bytes(blob + b"\x00")
     with pytest.raises(ValueError):
         DpfKey.from_bytes(b"\x05" + blob[1:])  # party index out of range
+
+
+@pytest.mark.parametrize("party_count", [9, 64, 255])
+def test_key_decode_rejects_large_party_counts_quickly(party_count):
+    # Before the cap, decoding walked 2^(p-1) seed slots per row first.
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        DpfKey.from_bytes(bytes([0, 1, party_count, 1, 0, 0, 0]))
+    assert time.perf_counter() - start < 0.1
+
+
+def test_key_decode_checks_length_before_parsing():
+    params = DpfParams(11, 187, 3)
+    blob = dpf_gen(5, bytes(187), params, rng=5)[1].to_bytes()
+    assert len(blob) == params.key_len
+    for bad in (blob[:-1], blob + b"\x00"):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="key encoding must be"):
+            DpfKey.from_bytes(bad)
+        assert time.perf_counter() - start < 0.1
+
+
+def test_empty_row_selection_rejected():
+    params = DpfParams(4, 3, 2)
+    key = dpf_gen(5, b"abc", params, rng=5)[0]
+    key.row_bits[2] = 0
+    with pytest.raises(ValueError, match="no selected seeds"):
+        eval_full(key)
+    with pytest.raises(ValueError, match="no selected seeds"):
+        dpf_eval(key, 2 * params.grid_cols)
 
 
 # --- epochs and accumulation ------------------------------------------------
