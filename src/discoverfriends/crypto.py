@@ -78,26 +78,17 @@ def random_key(rng: Random | None = None) -> "SymmetricKey":
     return SymmetricKey(rng.randbytes(KEY_LEN))
 
 
-_PRG_CHUNK = 1 << 16
-
-
 def prg_permute_into(blocks, out) -> None:
     """AES permutation under the fixed keystream key, from one buffer into another.
 
-    Whole blocks only; chunked to stay cache-friendly.
+    Whole blocks only, in one pass. ``out`` is one block longer than
+    ``blocks``: update_into needs that slack, and its contents are unspecified.
     """
     n = len(blocks)
-    if n % BLOCK_LEN or len(out) != n:
-        raise ValueError("buffers must be equal block-multiple lengths")
+    if n % BLOCK_LEN or len(out) != n + BLOCK_LEN:
+        raise ValueError("blocks must be whole blocks and out one block longer")
     enc = Cipher(algorithms.AES(_PRG_KEY), modes.ECB()).encryptor()
-    src = memoryview(blocks)
-    # update_into needs one spare block of slack in its destination buffer
-    scratch = bytearray(_PRG_CHUNK + BLOCK_LEN)
-    dst = memoryview(out)
-    for off in range(0, n, _PRG_CHUNK):
-        size = min(_PRG_CHUNK, n - off)
-        written = enc.update_into(src[off : off + size], scratch)
-        dst[off : off + size] = scratch[:written]
+    enc.update_into(blocks, out)
     enc.finalize()
 
 
@@ -109,18 +100,23 @@ def keystream_many(seeds: np.ndarray, length: int) -> np.ndarray:
     style expansion, so observing output does not reveal the seed. All
     rows go through one AES pass.
     """
-    if seeds.ndim != 2 or seeds.shape[1] != KEY_LEN:
-        raise ValueError(f"seeds must be {KEY_LEN} bytes each, got shape {seeds.shape}")
+    if seeds.ndim != 2 or seeds.shape[1] != KEY_LEN or seeds.dtype != np.uint8:
+        raise ValueError(f"seeds must be (k, {KEY_LEN}) uint8, got {seeds.dtype} {seeds.shape}")
     if length < 0:
         raise ValueError("length must be non-negative")
     nblocks = (length + BLOCK_LEN - 1) // BLOCK_LEN
-    counters = np.zeros((nblocks, BLOCK_LEN), dtype=np.uint8)
-    counters[:, 8:] = np.arange(nblocks, dtype=">u8").view(np.uint8).reshape(nblocks, 8)
-    x = seeds[:, None, :] ^ counters[None, :, :]
-    y = np.empty_like(x)
-    prg_permute_into(x.reshape(-1).data, y.reshape(-1).data)
+    # Blocks as uint64 lane pairs, bytes in place: lane 0 is the seed's first
+    # half, lane 1 its second half XOR the big-endian counter i (i < 2^64).
+    halves = np.ascontiguousarray(seeds).view(np.uint64)
+    counters = np.arange(nblocks, dtype=">u8").view(np.uint64)
+    x = np.empty((len(seeds), nblocks, 2), dtype=np.uint64)
+    x[:, :, 0] = halves[:, :1]
+    np.bitwise_xor(halves[:, 1:], counters, out=x[:, :, 1])
+    y = np.empty(x.size + 2, dtype=np.uint64)  # one block of slack for prg_permute_into
+    prg_permute_into(x.view(np.uint8).reshape(-1), y.view(np.uint8))
+    y = y[:-2].reshape(x.shape)
     y ^= x
-    return y.reshape(len(seeds), nblocks * BLOCK_LEN)[:, :length]
+    return y.view(np.uint8).reshape(len(seeds), nblocks * BLOCK_LEN)[:, :length]
 
 
 def keystream(seed: bytes, length: int) -> bytes:

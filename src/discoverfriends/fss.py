@@ -184,9 +184,9 @@ def _even_odd_patterns(party_count: int) -> tuple[list[int], list[int]]:
 
 
 def _sample_selection_matrix(
-    rng: Random, party_count: int, slots: int, special: bool
+    rng: Random, patterns: tuple[list[int], list[int]], party_count: int, slots: int, special: bool
 ) -> list[int]:
-    """Per-party selection masks for one row.
+    """Per-party selection masks for one row; ``patterns`` is _even_odd_patterns(party_count).
 
     Column parity is odd on the special row and even elsewhere. Sampling
     rejects degenerate matrices: no party may select nothing, and no
@@ -194,8 +194,7 @@ def _sample_selection_matrix(
     share of the row would be all zeros) or, on the special row, to the
     full selection (it would reconstruct the row outright).
     """
-    even, odd = _even_odd_patterns(party_count)
-    pool = odd if special else even
+    pool = patterns[1] if special else patterns[0]
     full_mask = (1 << slots) - 1
     for _ in range(10_000):
         cols = [rng.choice(pool) for _ in range(slots)]
@@ -246,8 +245,9 @@ def dpf_gen(
     last = np.bitwise_xor.reduce(np.vstack([expansions, _stack([*words, bytes(target)], word_len)]))
     words.append(last.tobytes())
 
+    patterns = _even_odd_patterns(params.party_count)
     selections = [
-        _sample_selection_matrix(rng, params.party_count, slots, i == special_row)
+        _sample_selection_matrix(rng, patterns, params.party_count, slots, i == special_row)
         for i in range(rows)
     ]
 
@@ -422,13 +422,13 @@ def encode_slot(message: bytes, output_len: int) -> bytes:
 
 def decode_slot(slot: bytes) -> tuple[str, bytes | None]:
     """Classify a combined slot: ('empty'|'message'|'garbled', payload)."""
-    if not any(slot):
+    if slot.count(0) == len(slot):
         return "empty", None
     n = int.from_bytes(slot[0:2], "little")
     comp = int.from_bytes(slot[2:4], "little")
     if comp != (n ^ 0xFFFF) or n > len(slot) - SLOT_HEADER_LEN:
         return "garbled", None
-    if any(slot[SLOT_HEADER_LEN + n :]):
+    if slot.count(0, SLOT_HEADER_LEN + n) != len(slot) - SLOT_HEADER_LEN - n:
         return "garbled", None
     return "message", slot[SLOT_HEADER_LEN : SLOT_HEADER_LEN + n]
 
@@ -480,7 +480,11 @@ class EpochServer:
             raise ValueError(
                 f"key for party {key.party_index} sent to server {self.server_id}"
             )
-        server_accumulate(self._epoch(epoch_id), key, client_id)
+        epoch = self._epoch(epoch_id)
+        # A replayed key would XOR the client's first write back out.
+        if client_id in epoch.client_ids:
+            raise ValueError(f"epoch {epoch_id}: client {client_id!r} already submitted")
+        server_accumulate(epoch, key, client_id)
         return True
 
     def seal(self, epoch_id: int) -> None:

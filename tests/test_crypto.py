@@ -77,6 +77,17 @@ def test_keystream_many_rows_match_keystream_and_reference(seeds, length):
         assert row.tobytes() == keystream(seed, length) == _reference_keystream(seed, length)
 
 
+def test_keystream_many_edge_shapes_match_keystream():
+    seeds = np.frombuffer(bytes(range(96)), dtype=np.uint8).reshape(6, 16)
+    assert keystream_many(seeds[:0], 40).shape == (0, 40)
+    assert keystream_many(seeds[:0], 0).shape == (0, 0)
+    assert keystream_many(seeds, 0).shape == (6, 0)
+    strided = seeds[::2]  # rows not contiguous in memory
+    assert not strided.flags.c_contiguous
+    rows = keystream_many(strided, 53)
+    assert [row.tobytes() for row in rows] == [keystream(s.tobytes(), 53) for s in strided]
+
+
 def test_keystream_many_rejects_bad_shapes_and_lengths():
     with pytest.raises(ValueError):
         keystream_many(np.zeros((2, 15), dtype=np.uint8), 16)
@@ -84,6 +95,8 @@ def test_keystream_many_rejects_bad_shapes_and_lengths():
         keystream_many(np.zeros(16, dtype=np.uint8), 16)
     with pytest.raises(ValueError):
         keystream_many(np.zeros((1, 16), dtype=np.uint8), -1)
+    with pytest.raises(ValueError):
+        keystream_many(np.zeros((1, 16), dtype=np.int64), 16)
 
 
 def test_xor_bytes():

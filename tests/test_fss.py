@@ -1,8 +1,11 @@
+import hashlib
 import time
 from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from discoverfriends.fss import (
@@ -138,6 +141,58 @@ def test_eval_full_matches_pointwise():
         for _ in range(100):
             x = rng.randrange(params.domain_size)
             assert full.slot(x) == dpf_eval(key, x)
+
+
+# SHA-256 of each party's eval_full(key).to_bytes() for
+# dpf_gen(alpha, encode_slot(b"pin", output_len), DpfParams(n, output_len, p), rng=seed).
+EVAL_FULL_KNOWN_ANSWERS = [
+    ((14, 187, 2), 12345, 7, [
+        "ce6d11af5f30412c163f0e63b3de09c459bbbdd46bc0077e40056649e342ae93",
+        "66ad19fcb2b087ede5b01091ac94c139fd92032f1f3ff5d9d49cd89e8c2d64b2",
+    ]),
+    ((11, 61, 3), 1000, 8, [
+        "ca0a0a6743982ab624287fc474ab8edfa77689c226e1e1d4d648ec96fe4ee814",
+        "bdb887aad92450bc26667f5fe2b60622e917f5ca9d0f664b28e5688c16eef0a1",
+        "f741041532834660b16ad88e0e7eba5d2a4c688958a45e4ff91181a16309f120",
+    ]),
+    ((5, 7, 2), 17, 9, [
+        "dd989db0305be116ef88e9df3f650e35072b34dd14941b159d164c50825e695e",
+        "696668e9730d5ff08ada59cfca595c00cf457c3426b1ff163e84fd5866e97f8d",
+    ]),
+]
+
+
+@pytest.mark.parametrize("shape, alpha, seed, digests", EVAL_FULL_KNOWN_ANSWERS)
+def test_eval_full_known_answers(shape, alpha, seed, digests):
+    params = DpfParams(*shape)
+    keys = dpf_gen(alpha, encode_slot(b"pin", params.output_len), params, rng=seed)
+    assert [hashlib.sha256(eval_full(k).to_bytes()).hexdigest() for k in keys] == digests
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    party_count=st.sampled_from([2, 3]),
+    input_bits=st.integers(1, 9),
+    output_len=st.integers(1, 40),
+    data=st.data(),
+)
+def test_eval_full_is_pointwise_and_parties_xor_to_point_function(
+    party_count, input_bits, output_len, data
+):
+    # Odd and even input_bits give square and 2:1 grids; most output_len
+    # values make word_len a non-multiple of the 16-byte block.
+    params = DpfParams(input_bits, output_len, party_count)
+    alpha = data.draw(st.integers(0, params.domain_size - 1))
+    beta = data.draw(st.binary(min_size=output_len, max_size=output_len))
+    keys = dpf_gen(alpha, beta, params, rng=data.draw(st.integers(0, 2**32)))
+    fulls = [eval_full(key) for key in keys]
+    for key, full in zip(keys, fulls):
+        for x in data.draw(st.lists(st.integers(0, params.domain_size - 1), min_size=1, max_size=5)):
+            assert full.slot(x) == dpf_eval(key, x)
+    combined = ShareDatabase.zeros(params)
+    for full in fulls:
+        combined.xor_update(full)
+    assert np.array_equal(combined.slots, _point_table(alpha, beta, params))
 
 
 def test_single_party_output_bit_balance():
@@ -381,6 +436,11 @@ def test_slot_codec_edges():
     blob = bytearray(encode_slot(b"ok", 32))
     blob[-1] = 5  # dirt in the zero padding
     assert decode_slot(bytes(blob))[0] == "garbled"
+    blob = bytearray(encode_slot(b"ok", 32))
+    blob[6] = 1  # dirt in the first padding byte
+    assert decode_slot(bytes(blob))[0] == "garbled"
+    assert decode_slot(encode_slot(b"\xff" * 28, 32)) == ("message", b"\xff" * 28)  # no padding
+    assert decode_slot(bytes(31) + b"\x01")[0] == "garbled"  # one stray byte is not empty
 
 
 # --- server endpoint ----------------------------------------------------------
@@ -390,6 +450,10 @@ def _run_epoch(servers, params, writers, epoch_id=1):
         keys = dpf_gen(alpha, encode_slot(beta, params.output_len), params, rng=alpha)
         for server, key in zip(servers, keys):
             server.submit(epoch_id, key, client_id=cid)
+    return _close_epoch(servers, epoch_id)
+
+
+def _close_epoch(servers, epoch_id):
     for server in servers:
         server.seal(epoch_id)
     for server in servers:
@@ -408,6 +472,25 @@ def test_epoch_server_end_to_end():
     db = ShareDatabase.from_bytes(outputs[0], params)
     assert decode_slot(db.slot(5)) == ("message", b"van")
     assert decode_slot(db.slot(40)) == ("message", b"park")
+
+
+def test_epoch_server_rejects_duplicate_client_before_accumulating():
+    params = DpfParams(6, 16, 2)
+    servers = [EpochServer(i, params, peer_count=2) for i in range(2)]
+    keys = dpf_gen(5, encode_slot(b"van", 16), params, rng=5)
+    for server, key in zip(servers, keys):
+        server.submit(1, key, client_id="c1")
+    digest = servers[0].membership(1)
+    replay = dpf_gen(40, encode_slot(b"park", 16), params, rng=40)
+    for server, key in zip(servers, keys):
+        with pytest.raises(ValueError):
+            server.submit(1, key, client_id="c1")  # the same key replayed
+    with pytest.raises(ValueError):
+        servers[0].submit(1, replay[0], client_id="c1")  # a new key under a used id
+    assert servers[0].membership(1) == servers[1].membership(1) == digest
+    db = ShareDatabase.from_bytes(_close_epoch(servers, 1)[0], params)
+    assert decode_slot(db.slot(5)) == ("message", b"van")
+    assert decode_slot(db.slot(40)) == ("empty", None)
 
 
 def test_epoch_server_rejects_misrouted_key():
