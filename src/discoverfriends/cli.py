@@ -13,7 +13,7 @@ from .scenarios import RUNNERS, load_config
 
 def _configure_logging(level: str) -> None:
     logging.basicConfig(
-        level=getattr(logging, level.upper(), logging.WARNING),
+        level=level,
         format="%(levelname)s %(name)s: %(message)s",
     )
 
@@ -22,6 +22,7 @@ def _configure_logging(level: str) -> None:
 @click.option(
     "--log-level",
     envvar="DISCOVERFRIENDS_LOG",
+    type=click.Choice(("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"), case_sensitive=False),
     default="WARNING",
     show_default=True,
     help="Log verbosity; also via the DISCOVERFRIENDS_LOG environment variable.",

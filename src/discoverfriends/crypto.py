@@ -45,6 +45,7 @@ SIGNATURE_LEN = RSA_BITS // 8
 PUBKEY_LEN = 160
 CERT_LEN = 481
 _CERT_BODY_LEN = 16 + PUBKEY_LEN + 8 + 8
+_CERT_PAD = bytes(CERT_LEN - _CERT_BODY_LEN - SIGNATURE_LEN)
 _WRAP_PADDING = asym_padding.OAEP(
     mgf=asym_padding.MGF1(algorithm=hashes.SHA256()), algorithm=hashes.SHA256(), label=None
 )
@@ -247,6 +248,8 @@ class Certificate:
     def from_bytes(cls, blob: bytes) -> "Certificate":
         if len(blob) != CERT_LEN:
             raise ValueError(f"certificate must be {CERT_LEN} bytes, got {len(blob)}")
+        if not blob.endswith(_CERT_PAD):
+            raise ValueError("certificate padding must be zero")
         return cls(
             subject_digest=blob[0:16],
             public_key=blob[16 : 16 + PUBKEY_LEN],

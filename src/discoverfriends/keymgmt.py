@@ -1,13 +1,13 @@
 """Self-organized public-key management for infrastructure-less groups.
 
-During network initialization every node broadcasts its public key and
-records what it heard: direct neighbors land in the key repository (KR),
-the union of everything learned becomes the shared key repository (SKR),
-and the "who got whose key" relation forms a directed trust graph. A
-frozen snapshot of that graph (the master graph) then gates certificate
-admission: a certificate is only stored if it verifies *and* its issuer
-was reachable during initialization, which keeps out Sybil identities
-that never took part in the round.
+During network initialization every node broadcasts its public key once.
+The round is one hop, so every node is every other node's direct
+neighbor: each records every key it heard in its shared key repository
+(SKR), and the "who got whose key" relation forms a directed trust graph,
+frozen when the round ends (the master graph). The master graph then
+gates certificate admission: a certificate is only stored if it verifies
+*and* its issuer was reachable during initialization, which keeps out
+Sybil identities that never took part in the round.
 """
 
 from __future__ import annotations
@@ -26,29 +26,13 @@ class KeyConflict(Exception):
 
 
 @dataclass
-class KeyRepository:
-    """Public keys received directly from neighbors."""
-
-    neighbor_keys: dict[NodeId, bytes] = field(default_factory=dict)
-
-    def record(self, node: NodeId, key: bytes) -> None:
-        crypto.parse_public_key(key)  # reject anything that is not a key
-        existing = self.neighbor_keys.get(node)
-        if existing is not None and existing != key:
-            raise KeyConflict(f"conflicting key for node {node}")
-        self.neighbor_keys[node] = key
-
-    def lookup(self, node: NodeId) -> bytes | None:
-        return self.neighbor_keys.get(node)
-
-
-@dataclass
 class SharedKeyRepository:
-    """Keys of every node learned during initialization (superset of the KR)."""
+    """Keys of every node learned during initialization."""
 
     all_keys: dict[NodeId, bytes] = field(default_factory=dict)
 
     def record(self, node: NodeId, key: bytes) -> None:
+        crypto.parse_public_key(key)  # reject anything that is not a key
         existing = self.all_keys.get(node)
         if existing is not None and existing != key:
             raise KeyConflict(f"conflicting key for node {node}")
@@ -58,20 +42,13 @@ class SharedKeyRepository:
         return len(self.all_keys)
 
 
-@dataclass
-class TrustGraph:
-    """Directed edges (a, b): node a vouches it received node b's key."""
-
-    nodes: set[NodeId] = field(default_factory=set)
-    edges: set[tuple[NodeId, NodeId]] = field(default_factory=set)
-
-
 @dataclass(frozen=True)
 class MasterGraph:
-    """Immutable snapshot of a trust graph taken when initialization ends.
+    """The trust graph, frozen when initialization ends.
 
-    Since the snapshot never changes, the set reachable from each source is
-    computed once and memoized in ``_reachable``.
+    Edge (a, b) means node a vouches it received node b's key. Since the
+    graph never changes, the set reachable from each source is computed
+    once and memoized in ``_reachable``.
     """
 
     nodes: frozenset[NodeId]
@@ -86,22 +63,20 @@ def build_trust_graph(
     local: NodeId,
     skr: SharedKeyRepository,
     received_from: dict[NodeId, set[NodeId]],
-) -> TrustGraph:
-    """Trust graph from declared receipts: edge (a, b) iff a received b's key."""
+    now: int,
+) -> MasterGraph:
+    """Master graph from declared receipts: edge (a, b) iff a received b's key."""
     unknown = set(received_from) - set(skr.all_keys)
     if unknown:
         raise ValueError(f"receipt reporters not in shared repository: {sorted(unknown)}")
-    graph = TrustGraph()
-    graph.nodes.add(local)
-    graph.nodes.update(skr.all_keys)
-    for reporter, senders in received_from.items():
-        for sender in senders:
-            graph.nodes.add(sender)
-            graph.edges.add((reporter, sender))
-    return graph
+    edges = frozenset(
+        (reporter, sender) for reporter, senders in received_from.items() for sender in senders
+    )
+    nodes = frozenset({local, *skr.all_keys, *(sender for _, sender in edges)})
+    return MasterGraph(nodes=nodes, edges=edges, frozen_at=now)
 
 
-def _reachable_from(edges: frozenset | set, src: NodeId) -> frozenset[NodeId]:
+def _reachable_from(edges: frozenset[tuple[NodeId, NodeId]], src: NodeId) -> frozenset[NodeId]:
     """Every node reachable from src along directed edges, src included."""
     adjacency: dict[NodeId, list[NodeId]] = {}
     for a, b in edges:
@@ -116,24 +91,14 @@ def _reachable_from(edges: frozenset | set, src: NodeId) -> frozenset[NodeId]:
     return frozenset(seen)
 
 
-def trust_path_exists(
-    graph: TrustGraph | MasterGraph, src: NodeId, dst: NodeId
-) -> bool:
+def trust_path_exists(graph: MasterGraph, src: NodeId, dst: NodeId) -> bool:
     """Directed reachability src -> dst; False if either node is absent."""
     if src not in graph.nodes or dst not in graph.nodes:
         return False
-    if not isinstance(graph, MasterGraph):
-        return dst in _reachable_from(graph.edges, src)
     reachable = graph._reachable.get(src)
     if reachable is None:
         reachable = graph._reachable[src] = _reachable_from(graph.edges, src)
     return dst in reachable
-
-
-def snapshot_master(graph: TrustGraph, now: int) -> MasterGraph:
-    return MasterGraph(
-        nodes=frozenset(graph.nodes), edges=frozenset(graph.edges), frozen_at=now
-    )
 
 
 class AdmitResult(Enum):

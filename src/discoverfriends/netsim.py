@@ -94,7 +94,6 @@ class SimNode:
 class Topology:
     nodes: dict[str, SimNode]
     links: list[Link]
-    hop_count: int = 1
 
 
 def _attach(node: SimNode, iface_name: str, link: Link) -> None:
@@ -123,7 +122,7 @@ def build_chain(
         links.append(link)
     for i in range(1, hops):
         nodes[f"n{i}"].relay_enabled = True
-    return Topology(nodes=nodes, links=links, hop_count=hops)
+    return Topology(nodes=nodes, links=links)
 
 
 def build_broadcast(
@@ -136,7 +135,7 @@ def build_broadcast(
         node = SimNode(node_id=node_id)
         _attach(node, "legacy", link)
         nodes[node_id] = node
-    return Topology(nodes=nodes, links=[link], hop_count=1)
+    return Topology(nodes=nodes, links=[link])
 
 
 class Simulator:

@@ -67,9 +67,13 @@ def _lp(blob: bytes) -> bytes:
 
 
 def _read_lp(blob: bytes, off: int) -> tuple[bytes, int]:
-    n = int.from_bytes(blob[off : off + 4], "little")
-    off += 4
-    return blob[off : off + n], off + n
+    start = off + 4
+    if start > len(blob):
+        raise ValueError("truncated length prefix")
+    end = start + int.from_bytes(blob[off:start], "little")
+    if end > len(blob):
+        raise ValueError("length prefix runs past the frame")
+    return blob[start:end], end
 
 
 @dataclass(frozen=True)
@@ -131,37 +135,40 @@ Frame = SetupRequest | SetupReply | CertUpdate | DataMessage
 
 
 def decode_frame(blob: bytes) -> Frame:
+    """Parse one whole frame; any malformed input raises ``ValueError``."""
     if not blob:
         raise ValueError("empty frame")
     tag = blob[0]
+    frame: Frame
     if tag == FRAME_SETUP:
+        if len(blob) < 13:
+            raise ValueError("truncated setup header")
         n_items = int.from_bytes(blob[1:5], "little")
         (fpp,) = struct.unpack("<d", blob[5:13])
         bf_blob, off = _read_lp(blob, 13)
         bf_plus, off = _read_lp(blob, off)
         cf, off = _read_lp(blob, off)
-        return SetupRequest(BloomFilter.from_bytes(bf_blob, n_items, fpp), bf_plus, cf)
-    if tag == FRAME_REPLY:
-        enc, _ = _read_lp(blob, 1)
-        return SetupReply(enc)
-    if tag == FRAME_CERT_UPDATE:
-        count = int.from_bytes(blob[1:5], "little")
-        certs = []
-        off = 5
-        for _ in range(count):
-            certs.append(Certificate.from_bytes(blob[off : off + crypto.CERT_LEN]))
-            off += crypto.CERT_LEN
-        return CertUpdate(tuple(certs))
-    if tag == FRAME_DATA:
+        frame = SetupRequest(BloomFilter.from_bytes(bf_blob, n_items, fpp), bf_plus, cf)
+    elif tag == FRAME_REPLY:
+        enc, off = _read_lp(blob, 1)
+        frame = SetupReply(enc)
+    elif tag == FRAME_CERT_UPDATE:
+        off = 5 + int.from_bytes(blob[1:5], "little") * crypto.CERT_LEN
+        if len(blob) < 5 or off > len(blob):
+            raise ValueError("certificate count runs past the frame")
+        frame = CertUpdate(tuple(
+            Certificate.from_bytes(blob[i : i + crypto.CERT_LEN])
+            for i in range(5, off, crypto.CERT_LEN)
+        ))
+    elif tag == FRAME_DATA:
         wrapped, off = _read_lp(blob, 1)
-        body, _ = _read_lp(blob, off)
-        return DataMessage(wrapped, body)
-    raise ValueError(f"unknown frame tag {tag}")
-
-
-@dataclass(frozen=True)
-class Peer:
-    certificate: Certificate
+        body, off = _read_lp(blob, off)
+        frame = DataMessage(wrapped, body)
+    else:
+        raise ValueError(f"unknown frame tag {tag}")
+    if off != len(blob):
+        raise ValueError(f"{len(blob) - off} trailing bytes after the frame")
+    return frame
 
 
 @dataclass(frozen=True)
@@ -193,16 +200,19 @@ class SessionState:
     certificate: Certificate
     rng: Random
     phase: Phase = Phase.INIT
-    kr: keymgmt.KeyRepository = field(default_factory=keymgmt.KeyRepository)
     skr: keymgmt.SharedKeyRepository = field(default_factory=keymgmt.SharedKeyRepository)
     cr: keymgmt.CertRepository = field(default_factory=keymgmt.CertRepository)
     master_graph: keymgmt.MasterGraph | None = None
-    peers: dict[bytes, Peer] = field(default_factory=dict)
     _mask_cache: dict[int, dict[bytes, CompositeId]] = field(default_factory=dict)
 
     @property
     def node_id(self) -> str:
         return self.composite.hex()
+
+    @property
+    def peers(self) -> dict[bytes, Certificate]:
+        """Admitted peer certificates by subject digest: the certificate repository."""
+        return self.cr.certs
 
     def _advance(self, phase: Phase) -> None:
         if phase < self.phase:
@@ -220,9 +230,7 @@ class SessionState:
 
     def stored_key_bytes(self) -> int:
         """Key material kept for messaging: public key + certificate per peer."""
-        return sum(
-            len(p.certificate.public_key) + crypto.CERT_LEN for p in self.peers.values()
-        )
+        return sum(len(c.public_key) + crypto.CERT_LEN for c in self.peers.values())
 
 
 def create_session(
@@ -253,11 +261,16 @@ def install_network_keys(
 ) -> None:
     """Ingest the key-distribution round and freeze the master graph."""
     for node, key in all_keys.items():
-        if node != state.node_id:
-            state.kr.record(node, key)
         state.skr.record(node, key)
-    graph = keymgmt.build_trust_graph(state.node_id, state.skr, received_from)
-    state.master_graph = keymgmt.snapshot_master(graph, now)
+    state.master_graph = keymgmt.build_trust_graph(state.node_id, state.skr, received_from, now)
+
+
+def key_round(sessions: list[SessionState], now: int) -> None:
+    """One-hop key round: every node hears every key, then freezes its graph."""
+    all_keys = {s.node_id: s.keypair.public_bytes for s in sessions}
+    received_from = {node: set(all_keys) - {node} for node in all_keys}
+    for session in sessions:
+        install_network_keys(session, all_keys, received_from, now)
 
 
 def build_setup_request(
@@ -316,6 +329,14 @@ def process_setup_request(
     return Accept(reply)
 
 
+def _admit(state: SessionState, cert: Certificate, now: int) -> keymgmt.AdmitResult:
+    """The admission gate, with the certificate's subject as its issuing node."""
+    return keymgmt.admit_certificate(
+        state.cr, cert, state.master_graph, issuer=cert.subject_digest.hex(),
+        local=state.node_id, now=now,
+    )
+
+
 def complete_initialization(
     initiator: SessionState, replies: list[SetupReply], now: int
 ) -> tuple[SessionState, CertUpdate]:
@@ -332,16 +353,8 @@ def complete_initialization(
         except (crypto.IntegrityError, ValueError):
             logger.info("dropping reply: undecryptable or malformed certificate")
             continue
-        result = keymgmt.admit_certificate(
-            initiator.cr,
-            cert,
-            initiator.master_graph,
-            issuer=cert.subject_digest.hex(),
-            local=initiator.node_id,
-            now=now,
-        )
+        result = _admit(initiator, cert, now)
         if result is keymgmt.AdmitResult.ACCEPTED:
-            initiator.peers[cert.subject_digest] = Peer(cert)
             admitted.append(cert)
         else:
             logger.info("dropping reply certificate: %s", result.value)
@@ -363,17 +376,8 @@ def apply_cert_update(
     for cert in update.certs:
         if cert.subject_digest == state.composite.digest:
             continue
-        result = keymgmt.admit_certificate(
-            state.cr,
-            cert,
-            state.master_graph,
-            issuer=cert.subject_digest.hex(),
-            local=state.node_id,
-            now=now,
-        )
-        if result is keymgmt.AdmitResult.ACCEPTED:
-            state.peers[cert.subject_digest] = Peer(cert)
-        else:
+        result = _admit(state, cert, now)
+        if result is not keymgmt.AdmitResult.ACCEPTED:
             logger.info("dropping updated certificate: %s", result.value)
     return state
 
@@ -393,7 +397,7 @@ def send_message(
         )
     key = crypto.random_key(sender.rng)
     body = crypto.sym_encrypt(key, plaintext)
-    wrapped = crypto.wrap_key(crypto.parse_public_key(peer.certificate.public_key), key)
+    wrapped = crypto.wrap_key(crypto.parse_public_key(peer.public_key), key)
     return DataMessage(wrapped_key=wrapped, body=body)
 
 

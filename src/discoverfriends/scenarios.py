@@ -120,8 +120,6 @@ def load_config(path: str | None, kind: str, seed: int | None = None) -> Scenari
                 if isinstance(current, tuple):
                     elem = float if any(isinstance(v, float) for v in current) else int
                     value = tuple(elem(v.strip()) for v in raw.split(",") if v.strip())
-                elif isinstance(current, bool):
-                    value = parser.getboolean(section, key)
                 elif isinstance(current, int):
                     value = int(raw)
                 elif isinstance(current, float):
@@ -198,6 +196,22 @@ def _mk_composite(label: str) -> CompositeId:
     return identity.composite_of([OsnId("osn", label.encode())])
 
 
+def _session(
+    cfg: ScenarioConfig,
+    role: Role,
+    comp: CompositeId,
+    friend_comps: list[CompositeId],
+    rng_label: str,
+) -> protocol.SessionState:
+    """A session created at EPOCH_BASE, befriending friend_comps, on its own seeded rng."""
+    friends = FriendList()
+    for i, friend in enumerate(friend_comps):
+        friends.add(f"friend-{i}", friend)
+    return protocol.create_session(
+        role, comp, friends, EPOCH_BASE, cfg.validity_seconds, rng=Random(rng_label)
+    )
+
+
 def _fixed_plaintext(tag: str) -> bytes:
     return tag.encode().ljust(protocol.MAX_PLAINTEXT, b".")[: protocol.MAX_PLAINTEXT]
 
@@ -233,42 +247,25 @@ def _run_discovery(
         for i in range(cfg.bystanders)
     ]
 
-    initiator_friends = FriendList()
-    for i, comp in enumerate(friend_comps):
-        initiator_friends.add(f"friend-{i}", comp)
-
-    sessions: dict[str, protocol.SessionState] = {}
-    initiator = protocol.create_session(
-        Role.INITIATOR, initiator_comp, initiator_friends, now, cfg.validity_seconds,
-        rng=Random(f"{cfg.seed}:initiator:{friends_n}"),
+    initiator = _session(
+        cfg, Role.INITIATOR, initiator_comp, friend_comps, f"{cfg.seed}:initiator:{friends_n}"
     )
-    sessions[initiator.node_id] = initiator
-
-    for i, comp in enumerate(present):
-        friends = FriendList()
-        friends.add("initiator", initiator_comp)
-        session = protocol.create_session(
-            Role.TARGET, comp, friends, now, cfg.validity_seconds,
-            rng=Random(f"{cfg.seed}:target:{friends_n}:{i}"),
+    group = [initiator]
+    group += [
+        _session(cfg, Role.TARGET, comp, [initiator_comp], f"{cfg.seed}:target:{friends_n}:{i}")
+        for i, comp in enumerate(present)
+    ]
+    group += [
+        _session(
+            cfg, Role.TARGET, comp, [_mk_composite(f"stranger:{cfg.seed}:{i}")],
+            f"{cfg.seed}:bystander:{friends_n}:{i}",
         )
-        sessions[session.node_id] = session
+        for i, comp in enumerate(bystander_comps)
+    ]
+    protocol.key_round(group, now)
+    sessions = {s.node_id: s for s in group}
 
-    for i, comp in enumerate(bystander_comps):
-        friends = FriendList()
-        friends.add("someone-else", _mk_composite(f"stranger:{cfg.seed}:{i}"))
-        session = protocol.create_session(
-            Role.TARGET, comp, friends, now, cfg.validity_seconds,
-            rng=Random(f"{cfg.seed}:bystander:{friends_n}:{i}"),
-        )
-        sessions[session.node_id] = session
-
-    node_ids = list(sessions)
-    all_keys = {nid: sessions[nid].keypair.public_bytes for nid in node_ids}
-    received_from = {nid: {o for o in node_ids if o != nid} for nid in node_ids}
-    for session in sessions.values():
-        protocol.install_network_keys(session, all_keys, received_from, now)
-
-    topology = netsim.build_broadcast(node_ids, capacity_bps=cfg.capacity_mbps * 1e6)
+    topology = netsim.build_broadcast(list(sessions), capacity_bps=cfg.capacity_mbps * 1e6)
     sim = netsim.Simulator(topology, seed=rng.randrange(2**32))
 
     replies: list[protocol.SetupReply] = []
@@ -349,9 +346,7 @@ def _run_discovery(
 
     # Stage 1: broadcast the three-part request to everyone in range.
     params = derive_params(friends_n, cfg.fpp)
-    request = protocol.build_setup_request(
-        initiator, initiator_friends.composites(), params, now
-    )
+    request = protocol.build_setup_request(initiator, friend_comps, params, now)
     sim.send(
         initiator.node_id,
         netsim.Frame(
@@ -699,18 +694,10 @@ def run_adversary(cfg: ScenarioConfig) -> Report:
         now = EPOCH_BASE
         init_comp = _mk_composite(f"adv-init:{cfg.seed}:{pair}")
         target_comp = _mk_composite(f"adv-target:{cfg.seed}:{pair}")
-        init_friends = FriendList()
-        init_friends.add("target", target_comp)
-        target_friends = FriendList()
-        target_friends.add("initiator", init_comp)
-        initiator = protocol.create_session(
-            Role.INITIATOR, init_comp, init_friends, now, cfg.validity_seconds,
-            rng=Random(f"{cfg.seed}:adv:{pair}"),
+        initiator = _session(
+            cfg, Role.INITIATOR, init_comp, [target_comp], f"{cfg.seed}:adv:{pair}"
         )
-        target = protocol.create_session(
-            Role.TARGET, target_comp, target_friends, now, cfg.validity_seconds,
-            rng=Random(f"{cfg.seed}:adv-t:{pair}"),
-        )
+        target = _session(cfg, Role.TARGET, target_comp, [init_comp], f"{cfg.seed}:adv-t:{pair}")
         params = derive_params(16, cfg.fpp)
         request = protocol.build_setup_request(initiator, [target_comp], params, now)
         recorded = protocol.decode_frame(request.encode())
@@ -733,46 +720,23 @@ def run_adversary(cfg: ScenarioConfig) -> Report:
     init_comp = _mk_composite(f"eav-init:{cfg.seed}")
     targets = [_mk_composite(f"eav-target:{cfg.seed}:{i}") for i in range(3)]
     eve_comp = _mk_composite(f"eav-eve:{cfg.seed}")
-    init_friends = FriendList()
-    for i, comp in enumerate(targets):
-        init_friends.add(f"t{i}", comp)
-    init_friends.add("eve", eve_comp)  # Eve is a friend, just not targeted
-    initiator = protocol.create_session(
-        Role.INITIATOR, init_comp, init_friends, now, cfg.validity_seconds,
-        rng=Random(f"{cfg.seed}:eav"),
+    # Eve is a friend of the initiator, just not targeted.
+    initiator = _session(
+        cfg, Role.INITIATOR, init_comp, [*targets, eve_comp], f"{cfg.seed}:eav"
     )
-    target_sessions = []
-    for i, comp in enumerate(targets):
-        friends = FriendList()
-        friends.add("initiator", init_comp)
-        target_sessions.append(
-            protocol.create_session(
-                Role.TARGET, comp, friends, now, cfg.validity_seconds,
-                rng=Random(f"{cfg.seed}:eav-t:{i}"),
-            )
-        )
-    eve_friends = FriendList()
-    eve_friends.add("initiator", init_comp)
-    eve = protocol.create_session(
-        Role.TARGET, eve_comp, eve_friends, now, cfg.validity_seconds,
-        rng=Random(f"{cfg.seed}:eav-e"),
-    )
-    group = [initiator, *target_sessions, eve]
-    all_keys = {s.node_id: s.keypair.public_bytes for s in group}
-    received_from = {
-        s.node_id: {o.node_id for o in group if o is not s} for s in group
-    }
-    for session in group:
-        protocol.install_network_keys(session, all_keys, received_from, now)
+    target_sessions = [
+        _session(cfg, Role.TARGET, comp, [init_comp], f"{cfg.seed}:eav-t:{i}")
+        for i, comp in enumerate(targets)
+    ]
+    eve = _session(cfg, Role.TARGET, eve_comp, [init_comp], f"{cfg.seed}:eav-e")
+    protocol.key_round([initiator, *target_sessions, eve], now)
 
     params = derive_params(max(16, len(targets)), cfg.fpp)
     request = protocol.build_setup_request(initiator, targets, params, now)
 
     # Eve runs the mask recovery offline against her own friend list.
     recovered_mask = crypto.xor_bytes(request.bf_c.bits, request.bf_c_plus)
-    eve_masks = {
-        identity.id_mask(c, params.m_bits): c for c in eve_friends.composites()
-    }
+    eve_masks = {identity.id_mask(c, params.m_bits): c for c in eve.friends.composites()}
     identified = eve_masks.get(recovered_mask)
     cf_readable = False
     if identified is not None:

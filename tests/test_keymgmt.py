@@ -1,3 +1,4 @@
+import dataclasses
 from random import Random
 
 import networkx as nx
@@ -10,10 +11,9 @@ from discoverfriends.keymgmt import (
     AdmitResult,
     CertRepository,
     KeyConflict,
-    KeyRepository,
+    MasterGraph,
     SharedKeyRepository,
     build_trust_graph,
-    snapshot_master,
     trust_path_exists,
 )
 
@@ -21,47 +21,36 @@ NOW = 1_700_000_000
 
 
 def test_record_then_lookup(shared_keypair):
-    repo = KeyRepository()
+    repo = SharedKeyRepository()
     repo.record("a", shared_keypair.public_bytes)
-    assert repo.lookup("a") == shared_keypair.public_bytes
+    assert repo.all_keys["a"] == shared_keypair.public_bytes
 
 
 def test_record_is_idempotent(shared_keypair):
-    repo = KeyRepository()
+    repo = SharedKeyRepository()
     repo.record("a", shared_keypair.public_bytes)
     repo.record("a", shared_keypair.public_bytes)
-    assert len(repo.neighbor_keys) == 1
+    repo.record("b", shared_keypair.public_bytes)
+    assert len(repo) == 2
 
 
 def test_conflicting_key_raises(shared_keypair, second_keypair):
-    repo = KeyRepository()
+    repo = SharedKeyRepository()
     repo.record("a", shared_keypair.public_bytes)
     with pytest.raises(KeyConflict):
         repo.record("a", second_keypair.public_bytes)
+    assert repo.all_keys["a"] == shared_keypair.public_bytes
 
 
 def test_unparseable_key_rejected():
-    repo = KeyRepository()
+    repo = SharedKeyRepository()
     with pytest.raises(ValueError):
         repo.record("a", b"not a key")
-
-
-def test_shared_repo_is_superset_of_key_repo(shared_keypair, second_keypair):
-    repo = KeyRepository()
-    skr = SharedKeyRepository()
-    repo.record("a", shared_keypair.public_bytes)
-    for node, key in repo.neighbor_keys.items():
-        skr.record(node, key)
-    skr.record("a", shared_keypair.public_bytes)  # idempotent
-    skr.record("b", shared_keypair.public_bytes)
-    assert set(repo.neighbor_keys) <= set(skr.all_keys)
-    assert len(skr) == 2
-    with pytest.raises(KeyConflict):
-        skr.record("a", second_keypair.public_bytes)
+    assert len(repo) == 0
 
 
 def test_trust_graph_empty_repo():
-    graph = build_trust_graph("me", SharedKeyRepository(), {})
+    graph = build_trust_graph("me", SharedKeyRepository(), {}, NOW)
     assert graph.nodes == {"me"}
     assert graph.edges == set()
 
@@ -71,7 +60,7 @@ def test_trust_graph_chain_and_edge_count(shared_keypair):
     for node in ("a", "b", "c"):
         skr.record(node, shared_keypair.public_bytes)
     received = {"a": {"b"}, "b": {"c"}}
-    graph = build_trust_graph("a", skr, received)
+    graph = build_trust_graph("a", skr, received, NOW)
     assert ("a", "b") in graph.edges and ("b", "c") in graph.edges
     assert len(graph.edges) == sum(len(v) for v in received.values())
     assert trust_path_exists(graph, "a", "c")
@@ -81,14 +70,14 @@ def test_trust_graph_rejects_unknown_reporters(shared_keypair):
     skr = SharedKeyRepository()
     skr.record("a", shared_keypair.public_bytes)
     with pytest.raises(ValueError):
-        build_trust_graph("a", skr, {"ghost": {"a"}})
+        build_trust_graph("a", skr, {"ghost": {"a"}}, NOW)
 
 
 def test_reachability_basics(shared_keypair):
     skr = SharedKeyRepository()
     for node in ("a", "b", "c", "d"):
         skr.record(node, shared_keypair.public_bytes)
-    graph = build_trust_graph("a", skr, {"a": {"b"}, "b": {"c"}})
+    graph = build_trust_graph("a", skr, {"a": {"b"}, "b": {"c"}}, NOW)
     assert trust_path_exists(graph, "a", "a")  # trivial path
     assert trust_path_exists(graph, "a", "c")  # 2-hop relay
     assert not trust_path_exists(graph, "a", "d")  # disconnected
@@ -105,7 +94,7 @@ def test_reachability_matches_networkx_oracle(shared_keypair):
     received = {
         n: {m for m in nodes if m != n and rng.random() < 0.15} for n in nodes
     }
-    graph = build_trust_graph(nodes[0], skr, received)
+    graph = build_trust_graph(nodes[0], skr, received, NOW)
     oracle = nx.DiGraph()
     oracle.add_nodes_from(graph.nodes)
     oracle.add_edges_from(graph.edges)
@@ -117,26 +106,25 @@ def test_reachability_matches_networkx_oracle(shared_keypair):
 def test_snapshot_is_immutable(shared_keypair):
     skr = SharedKeyRepository()
     skr.record("a", shared_keypair.public_bytes)
-    graph = build_trust_graph("a", skr, {"a": set()})
-    master = snapshot_master(graph, NOW)
-    graph.nodes.add("late")
-    graph.edges.add(("a", "late"))
+    received = {"a": {"a"}}
+    master = build_trust_graph("a", skr, received, NOW)
+    # Later receipts and keys do not reach the frozen graph.
+    received["a"].add("late")
+    skr.record("late", shared_keypair.public_bytes)
     assert "late" not in master.nodes
+    assert master.edges == {("a", "a")}
     assert master.frozen_at == NOW
-    again = snapshot_master(
-        keymgmt.TrustGraph(set(master.nodes), set(master.edges)), NOW
-    )
-    assert again.nodes == master.nodes and again.edges == master.edges
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        master.edges = frozenset()
 
 
-def _master_with(shared_keypair, nodes, edges):
-    graph = keymgmt.TrustGraph(set(nodes), set(edges))
-    return snapshot_master(graph, NOW)
+def _master_with(nodes, edges):
+    return MasterGraph(nodes=frozenset(nodes), edges=frozenset(edges), frozen_at=NOW)
 
 
 def test_admit_accepts_trusted_valid_cert(shared_keypair):
     cert = crypto.make_certificate(shared_keypair, b"\x01" * 16, NOW, NOW + 60)
-    master = _master_with(shared_keypair, {"me", "issuer"}, {("me", "issuer")})
+    master = _master_with({"me", "issuer"}, {("me", "issuer")})
     cr = CertRepository()
     result = keymgmt.admit_certificate(cr, cert, master, "issuer", "me", NOW)
     assert result is AdmitResult.ACCEPTED
@@ -145,7 +133,7 @@ def test_admit_accepts_trusted_valid_cert(shared_keypair):
 
 def test_admit_rejects_unknown_issuer(shared_keypair):
     cert = crypto.make_certificate(shared_keypair, b"\x01" * 16, NOW, NOW + 60)
-    master = _master_with(shared_keypair, {"me"}, set())
+    master = _master_with({"me"}, set())
     cr = CertRepository()
     result = keymgmt.admit_certificate(cr, cert, master, "sybil", "me", NOW)
     assert result is AdmitResult.UNTRUSTED_ISSUER
@@ -154,7 +142,7 @@ def test_admit_rejects_unknown_issuer(shared_keypair):
 
 def test_admit_rejects_expired(shared_keypair):
     cert = crypto.make_certificate(shared_keypair, b"\x01" * 16, NOW, NOW + 60)
-    master = _master_with(shared_keypair, {"me", "issuer"}, {("me", "issuer")})
+    master = _master_with({"me", "issuer"}, {("me", "issuer")})
     cr = CertRepository()
     result = keymgmt.admit_certificate(cr, cert, master, "issuer", "me", NOW + 61)
     assert result is AdmitResult.EXPIRED
@@ -170,7 +158,7 @@ def test_admit_rejects_bad_signature(shared_keypair):
         not_after=cert.not_after,
         signature=cert.signature,
     )
-    master = _master_with(shared_keypair, {"me", "issuer"}, {("me", "issuer")})
+    master = _master_with({"me", "issuer"}, {("me", "issuer")})
     cr = CertRepository()
     result = keymgmt.admit_certificate(cr, forged, master, "issuer", "me", NOW)
     assert result is AdmitResult.BAD_SIGNATURE
@@ -186,7 +174,7 @@ def test_full_initialization_round_property(shared_keypair):
         for n in nodes:
             skr.record(n, shared_keypair.public_bytes)
         received = {n: {m for m in nodes if m != n} for n in nodes}
-        graph = build_trust_graph(local, skr, received)
+        graph = build_trust_graph(local, skr, received, NOW)
         assert len(skr) == len(nodes)
         oracle = nx.DiGraph()
         oracle.add_nodes_from(graph.nodes)
@@ -206,20 +194,25 @@ _NODES = [f"n{i}" for i in range(8)]
         max_size=30,
     ),
 )
-def test_master_reachability_matches_trust_graph_and_networkx(edges, queries):
-    graph = keymgmt.TrustGraph(set(_NODES), set(edges))
-    master = snapshot_master(graph, NOW)
+def test_master_reachability_matches_networkx(shared_keypair, edges, queries):
+    skr = SharedKeyRepository()
+    for node in _NODES:
+        skr.record(node, shared_keypair.public_bytes)
+    received: dict[str, set[str]] = {}
+    for reporter, sender in edges:
+        received.setdefault(reporter, set()).add(sender)
+    master = build_trust_graph(_NODES[0], skr, received, NOW)
+    assert master.nodes == set(_NODES) and master.edges == edges
     oracle = nx.DiGraph()
-    oracle.add_nodes_from(graph.nodes)
-    oracle.add_edges_from(graph.edges)
-    # Repeated and multi-source queries on one snapshot, then every pair again.
+    oracle.add_nodes_from(_NODES)
+    oracle.add_edges_from(edges)
+    # Repeated and multi-source queries on one graph, then every pair again.
     pairs = [*queries, *queries, *((s, d) for s in _NODES for d in _NODES)]
     for src, dst in pairs:
         want = src in oracle and dst in oracle and nx.has_path(oracle, src, dst)
         assert trust_path_exists(master, src, dst) == want
-        assert trust_path_exists(graph, src, dst) == want
-    # The memo is not part of the snapshot's value.
-    fresh = snapshot_master(graph, NOW)
+    # The memo is not part of the graph's value.
+    fresh = build_trust_graph(_NODES[0], skr, received, NOW)
     assert master == fresh and hash(master) == hash(fresh)
 
 
@@ -240,7 +233,7 @@ def verify_calls(monkeypatch):
 def _admitted(shared_keypair):
     """A repository holding one admitted certificate, its master graph and the cert."""
     cert = crypto.make_certificate(shared_keypair, b"\x01" * 16, NOW, NOW + 60)
-    master = _master_with(shared_keypair, {"me", "issuer"}, {("me", "issuer")})
+    master = _master_with({"me", "issuer"}, {("me", "issuer")})
     cr = CertRepository()
     assert keymgmt.admit_certificate(cr, cert, master, "issuer", "me", NOW) is AdmitResult.ACCEPTED
     return cr, master, cert

@@ -8,7 +8,6 @@ def test_chain_shape():
     topo = build_chain(3, 20e6)
     assert len(topo.nodes) == 4  # h hops -> h+1 nodes
     assert len(topo.links) == 3
-    assert topo.hop_count == 3
     assert not topo.nodes["n0"].relay_enabled
     assert topo.nodes["n1"].relay_enabled and topo.nodes["n2"].relay_enabled
     assert not topo.nodes["n3"].relay_enabled

@@ -1,10 +1,13 @@
+import logging
 from dataclasses import replace
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discoverfriends import crypto, identity, protocol
-from discoverfriends.bloom import derive_params
+from discoverfriends.bloom import BloomFilter, derive_params
 from discoverfriends.identity import CompositeId, FriendList, OsnId, composite_of
 from discoverfriends.protocol import (
     Accept,
@@ -16,6 +19,7 @@ from discoverfriends.protocol import (
     Reject,
     Role,
     SetupReply,
+    SetupRequest,
     apply_cert_update,
     build_setup_request,
     complete_initialization,
@@ -51,11 +55,7 @@ def _group(n_targets=2, validity=VALIDITY, seed=1):
         targets.append(
             create_session(Role.TARGET, c, friends, NOW, validity, Random(seed + i + 1))
         )
-    sessions = [initiator, *targets]
-    all_keys = {s.node_id: s.keypair.public_bytes for s in sessions}
-    received = {s.node_id: {o.node_id for o in sessions if o is not s} for s in sessions}
-    for s in sessions:
-        protocol.install_network_keys(s, all_keys, received, NOW)
+    protocol.key_round([initiator, *targets], NOW)
     return initiator, targets
 
 
@@ -100,6 +100,58 @@ def test_unknown_frame_tag_rejected():
         decode_frame(b"\xff\x00")
     with pytest.raises(ValueError):
         decode_frame(b"")
+
+
+_MALFORMED = {
+    "setup header cut short": b"\x00",
+    "length prefix past the end": b"\x01\x10\x00\x00\x00ab",
+    "length prefix cut short": b"\x01\x00\x00",
+    "trailing byte after a field": b"\x01\x02\x00\x00\x00abc",
+    "second field missing": b"\x03\x01\x00\x00\x00a",
+    "certificate count cut short": b"\x02\x01\x00",
+    "count far beyond the frame": b"\x02\xff\xff\xff\xff",
+    "trailing byte after a certificate": b"\x02\x01\x00\x00\x00" + bytes(crypto.CERT_LEN + 1),
+}
+
+
+@pytest.mark.parametrize("blob", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_malformed_frames_rejected(blob):
+    with pytest.raises(ValueError):
+        decode_frame(blob)
+
+
+@pytest.fixture(scope="module")
+def valid_frames(shared_keypair):
+    cert = crypto.make_certificate(shared_keypair, b"\x01" * 16, NOW, NOW + 60)
+    bf = BloomFilter(derive_params(4, 0.1)).insert(b"\x02" * 16)
+    return [
+        SetupRequest(bf, bytes(bf.params.byte_length), b"cf").encode(),
+        SetupReply(b"\xaa" * 5).encode(),
+        CertUpdate((cert,)).encode(),
+        DataMessage(b"key", b"body").encode(),
+    ]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_decode_frame_round_trips_or_raises(valid_frames, data):
+    # A valid frame, kept, with one byte flipped, cut short or extended; or random bytes.
+    blob = bytearray(data.draw(st.sampled_from(valid_frames)))
+    edit = data.draw(st.sampled_from(["keep", "flip", "cut", "extend", "random"]))
+    if edit == "flip":
+        blob[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
+    elif edit == "cut":
+        del blob[data.draw(st.integers(0, len(blob) - 1)) :]
+    elif edit == "extend":
+        blob += data.draw(st.binary(min_size=1, max_size=3))
+    elif edit == "random":
+        blob = bytearray(data.draw(st.binary(max_size=48)))
+    blob = bytes(blob)
+    try:
+        frame = decode_frame(blob)
+    except ValueError:
+        return
+    assert frame.encode() == blob
 
 
 # --- stage 1 --------------------------------------------------------------
@@ -363,11 +415,22 @@ def test_tampered_body_detected():
         receive_message(targets[0], DataMessage(msg.wrapped_key, bytes(flipped)))
 
 
-def test_peers_are_subset_of_cert_repository():
+def test_peers_are_the_cert_repository(caplog):
     initiator, targets = _group(3)
     _connect(initiator, targets)
     for session in (initiator, *targets):
-        assert set(session.peers) <= set(session.cr.certs)
+        assert set(session.peers) == set(session.cr.certs)
+    # A re-push with a broken signature is rejected and keeps the old certificate.
+    target = targets[0]
+    old_cert = target.peers[initiator.composite.digest]
+    signature = bytearray(old_cert.signature)
+    signature[-1] ^= 1
+    forged = replace(old_cert, signature=bytes(signature))
+    with caplog.at_level(logging.INFO, logger=protocol.__name__):
+        apply_cert_update(target, CertUpdate((forged,)), NOW)
+    assert "dropping updated certificate: bad_signature" in caplog.text
+    assert set(target.peers) == set(target.cr.certs)
+    assert target.peers[initiator.composite.digest] is old_cert
 
 
 def test_any_member_with_full_cert_set_can_message():
@@ -392,13 +455,13 @@ def test_cert_update_refreshes_peer():
     initiator, targets = _group(1)
     _connect(initiator, targets)
     target = targets[0]
-    old_cert = target.peers[initiator.composite.digest].certificate
+    old_cert = target.peers[initiator.composite.digest]
     renewed = crypto.make_certificate(
         initiator.keypair, initiator.composite.digest, NOW, NOW + 7200
     )
     apply_cert_update(target, CertUpdate((renewed,)), NOW)
-    assert target.peers[initiator.composite.digest].certificate == renewed
-    assert target.peers[initiator.composite.digest].certificate != old_cert
+    assert target.peers[initiator.composite.digest] == renewed
+    assert target.peers[initiator.composite.digest] != old_cert
 
 
 def test_cert_update_drops_untrusted_issuer():

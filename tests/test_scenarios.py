@@ -164,6 +164,22 @@ def test_cli_rejects_bad_config(tmp_path):
     assert result.exit_code != 0
 
 
+def test_cli_rejects_unknown_log_level(tmp_path):
+    runner = CliRunner()
+    # Any case is accepted: the run reaches the command, which finds no reports.
+    result = runner.invoke(cli.main, ["--log-level", "debug", "report", "--out", str(tmp_path)])
+    assert result.exit_code == 1
+    assert "no report.txt found" in result.output
+    result = runner.invoke(cli.main, ["--log-level", "debgu", "report", "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert "debgu" in result.output
+    result = runner.invoke(
+        cli.main, ["report", "--out", str(tmp_path)], env={"DISCOVERFRIENDS_LOG": "debgu"}
+    )
+    assert result.exit_code == 2
+    assert "debgu" in result.output
+
+
 def test_cli_report_requires_existing_reports(tmp_path):
     runner = CliRunner()
     result = runner.invoke(cli.main, ["report", "--out", str(tmp_path)])
