@@ -346,6 +346,11 @@ class ShareDatabase:
     def slot(self, index: int) -> bytes:
         return self.slots[index].tobytes()
 
+    def decoded(self) -> dict[int, bytes | None]:
+        """Every non-empty slot's payload, or None where decode_slot finds it garbled."""
+        rows = np.flatnonzero(self.slots.any(axis=1))
+        return {int(i): decode_slot(self.slots[i].tobytes())[1] for i in rows}
+
     def to_bytes(self) -> bytes:
         return self.slots.tobytes()
 
@@ -372,40 +377,22 @@ class Epoch:
     client_ids: list[str] = field(default_factory=list)
     delta_share: ShareDatabase = None  # type: ignore[assignment]
     state: str = "open"
+    remote_deltas: list[ShareDatabase] = field(default_factory=list)
+    output: bytes | None = None
 
     def __post_init__(self) -> None:
         if self.delta_share is None:
             self.delta_share = ShareDatabase.zeros(self.params)
 
 
-def server_accumulate(epoch: Epoch, key: DpfKey, client_id: str | None = None) -> Epoch:
+def server_accumulate(epoch: Epoch, key: DpfKey) -> Epoch:
     """Fold one key's full evaluation into the epoch's delta share."""
     if epoch.state != "open":
         raise SealedEpochError(f"epoch {epoch.epoch_id} is {epoch.state}")
     if key.params != epoch.params:
         raise ValueError("key parameters do not match the epoch")
     epoch.delta_share.xor_update(eval_full(key))
-    if client_id is not None:
-        epoch.client_ids.append(client_id)
     return epoch
-
-
-def seal_epoch(epoch: Epoch) -> Epoch:
-    if epoch.state != "open":
-        raise SealedEpochError(f"epoch {epoch.epoch_id} is {epoch.state}")
-    epoch.state = "sealed"
-    return epoch
-
-
-def combine_epoch(local: Epoch, remote_deltas: list[ShareDatabase]) -> ShareDatabase:
-    """XOR the local delta with every remote delta; identical on all servers."""
-    if local.state != "sealed":
-        raise SealedEpochError(f"epoch {local.epoch_id} must be sealed, is {local.state}")
-    combined = local.delta_share.copy()
-    for delta in remote_deltas:
-        combined.xor_update(delta)
-    local.state = "combined"
-    return combined
 
 
 def encode_slot(message: bytes, output_len: int) -> bytes:
@@ -457,22 +444,22 @@ class EpochServer:
     Before sealing, every cooperating server must have received the same
     client set; EXCHANGE carries a membership digest and any mismatch
     invalidates the epoch rather than producing a skewed database.
+    close_epoch runs SEAL, EXCHANGE and OUTPUT over a set of servers.
     """
 
     def __init__(self, server_id: int, params: DpfParams, peer_count: int):
         if not 0 <= server_id < params.party_count:
             raise ValueError("server_id outside party range")
+        # peer_count repeats params.party_count; any other value miscounts the remote deltas.
+        if peer_count != params.party_count:
+            raise ValueError(f"peer_count {peer_count} != party_count {params.party_count}")
         self.server_id = server_id
         self.params = params
-        self.peer_count = peer_count
         self._epochs: dict[int, Epoch] = {}
-        self._remote_deltas: dict[int, list[ShareDatabase]] = {}
-        self._outputs: dict[int, bytes] = {}
 
     def _epoch(self, epoch_id: int) -> Epoch:
         if epoch_id not in self._epochs:
             self._epochs[epoch_id] = Epoch(epoch_id=epoch_id, params=self.params)
-            self._remote_deltas[epoch_id] = []
         return self._epochs[epoch_id]
 
     def submit(self, epoch_id: int, key: DpfKey, client_id: str) -> bool:
@@ -484,11 +471,15 @@ class EpochServer:
         # A replayed key would XOR the client's first write back out.
         if client_id in epoch.client_ids:
             raise ValueError(f"epoch {epoch_id}: client {client_id!r} already submitted")
-        server_accumulate(epoch, key, client_id)
+        server_accumulate(epoch, key)
+        epoch.client_ids.append(client_id)
         return True
 
     def seal(self, epoch_id: int) -> None:
-        seal_epoch(self._epoch(epoch_id))
+        epoch = self._epoch(epoch_id)
+        if epoch.state != "open":
+            raise SealedEpochError(f"epoch {epoch_id} is {epoch.state}")
+        epoch.state = "sealed"
 
     def delta_bytes(self, epoch_id: int) -> bytes:
         epoch = self._epoch(epoch_id)
@@ -507,21 +498,33 @@ class EpochServer:
             raise EpochInvalid(
                 f"epoch {epoch_id}: client sets differ across servers"
             )
-        remotes = self._remote_deltas[epoch_id]
-        if len(remotes) >= self.peer_count - 1:
+        if len(epoch.remote_deltas) >= self.params.party_count - 1:
             raise EpochInvalid(f"epoch {epoch_id}: all remote deltas already received")
-        remotes.append(ShareDatabase.from_bytes(delta, self.params))
+        epoch.remote_deltas.append(ShareDatabase.from_bytes(delta, self.params))
 
     def output(self, epoch_id: int) -> bytes:
-        if epoch_id in self._outputs:
-            return self._outputs[epoch_id]
+        """The XOR of the local delta and every remote delta; identical on all servers."""
         epoch = self._epoch(epoch_id)
-        remotes = self._remote_deltas[epoch_id]
-        if len(remotes) != self.peer_count - 1:
-            raise EpochInvalid(
-                f"epoch {epoch_id}: have {len(remotes)} of "
-                f"{self.peer_count - 1} remote deltas"
-            )
-        combined = combine_epoch(epoch, remotes)
-        self._outputs[epoch_id] = combined.to_bytes()
-        return self._outputs[epoch_id]
+        if epoch.output is None:
+            if epoch.state == "open":
+                raise SealedEpochError(f"epoch {epoch_id} must be sealed before output")
+            have, need = len(epoch.remote_deltas), self.params.party_count - 1
+            if have != need:
+                raise EpochInvalid(f"epoch {epoch_id}: have {have} of {need} remote deltas")
+            combined = epoch.delta_share.copy()
+            for delta in epoch.remote_deltas:
+                combined.xor_update(delta)
+            epoch.output = combined.to_bytes()
+        return epoch.output
+
+
+def close_epoch(servers: list[EpochServer], epoch_id: int) -> list[bytes]:
+    """Seal every server, exchange every ordered pair's delta and digest, return each output."""
+    for server in servers:
+        server.seal(epoch_id)
+    shares = [(server.delta_bytes(epoch_id), server.membership(epoch_id)) for server in servers]
+    for i, server in enumerate(servers):
+        for j, (delta, membership) in enumerate(shares):
+            if i != j:
+                server.exchange(epoch_id, delta, membership)
+    return [server.output(epoch_id) for server in servers]

@@ -553,31 +553,16 @@ def run_checkin(cfg: ScenarioConfig) -> Report:
         for server, key in zip(servers, keys):
             server.submit(epoch_id, key, client_id=f"client-{i}")
 
-    for server in servers:
-        server.seal(epoch_id)
-    for server in servers:
-        for other in servers:
-            if other is not server:
-                server.exchange(
-                    epoch_id, other.delta_bytes(epoch_id), other.membership(epoch_id)
-                )
-    outputs = [server.output(epoch_id) for server in servers]
+    outputs = fss.close_epoch(servers, epoch_id)
 
     rows = report.section("epoch")
     report.check(
         rows, "server_outputs_identical", len(set(outputs)) == 1,
         f"{len(servers)} servers", "all byte-identical",
     )
-    database = fss.ShareDatabase.from_bytes(outputs[0], params)
-    recovered = 0
-    stray = 0
-    for index in range(params.domain_size):
-        kind, payload = fss.decode_slot(database.slot(index))
-        if index in sent:
-            if kind == "message" and payload == sent[index]:
-                recovered += 1
-        elif kind != "empty":
-            stray += 1
+    found = fss.ShareDatabase.from_bytes(outputs[0], params).decoded()
+    recovered = sum(1 for index, message in sent.items() if found.get(index) == message)
+    stray = len(found.keys() - sent.keys())
     report.check(
         rows, "messages_recovered", recovered == len(sent),
         f"{recovered}/{len(sent)}", "all client messages",
@@ -806,8 +791,7 @@ def run_adversary(cfg: ScenarioConfig) -> Report:
         sent = {i: ms[0] for i, ms in writes.items() if len(ms) == 1}
         collisions += sum(1 for ms in writes.values() if len(ms) > 1)
         total_clean += len(sent)
-        for server in servers:
-            server.seal(1)
+        outputs = fss.close_epoch(servers, 1)
         deltas = [
             fss.ShareDatabase.from_bytes(s.delta_bytes(1), c_params) for s in servers
         ]
@@ -818,17 +802,9 @@ def run_adversary(cfg: ScenarioConfig) -> Report:
             for i in range(cfg.servers):
                 if (mask >> i) & 1:
                     partial.xor_update(deltas[i])
-            for index in range(c_params.domain_size):
-                kind, _ = fss.decode_slot(partial.slot(index))
-                if kind == "message":
-                    false_messages += 1
-        combined = fss.ShareDatabase.zeros(c_params)
-        for delta in deltas:
-            combined.xor_update(delta)
-        for index, message in sent.items():
-            kind, payload = fss.decode_slot(combined.slot(index))
-            if kind == "message" and payload == message:
-                full_recovered += 1
+            false_messages += sum(1 for p in partial.decoded().values() if p is not None)
+        found = fss.ShareDatabase.from_bytes(outputs[0], c_params).decoded()
+        full_recovered += sum(1 for index, message in sent.items() if found.get(index) == message)
     report.check(
         rows, "messages_recovered_by_collusion", false_messages == 0,
         f"{false_messages} over {subsets_checked} subset-epochs", "0",

@@ -151,21 +151,10 @@ def test_criterion_6_checkin_at_2048_slot_scale():
         sent[index] = message
         for server, key in zip(servers, keys):
             server.submit(1, key, client_id=f"c{i}")
-    for server in servers:
-        server.seal(1)
-    for server in servers:
-        for other in servers:
-            if other is not server:
-                server.exchange(1, other.delta_bytes(1), other.membership(1))
-    outputs = [server.output(1) for server in servers]
+    outputs = fss.close_epoch(servers, 1)
     assert outputs[0] == outputs[1]
-    database = fss.ShareDatabase.from_bytes(outputs[0], params)
-    for index in range(params.domain_size):
-        kind, payload = fss.decode_slot(database.slot(index))
-        if index in sent:
-            assert (kind, payload) == ("message", sent[index])
-        else:
-            assert kind == "empty"
+    # every sent index holds its message and every other slot is empty
+    assert fss.ShareDatabase.from_bytes(outputs[0], params).decoded() == sent
 
     def accumulate_time(output_len: int) -> float:
         t_params = fss.DpfParams(11, output_len, 2)

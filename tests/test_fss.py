@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from discoverfriends.fss import (
+    SLOT_HEADER_LEN,
     DpfKey,
     DpfParams,
     Epoch,
@@ -17,13 +18,12 @@ from discoverfriends.fss import (
     SealedEpochError,
     ShareDatabase,
     client_check_in,
-    combine_epoch,
+    close_epoch,
     decode_slot,
     dpf_eval,
     dpf_gen,
     encode_slot,
     eval_full,
-    seal_epoch,
     server_accumulate,
 )
 
@@ -276,6 +276,51 @@ def test_key_decode_checks_length_before_parsing():
         assert time.perf_counter() - start < 0.1
 
 
+def _edited(blob, data):
+    """``blob`` kept, with one bit flipped, cut short or extended; or random bytes."""
+    blob = bytearray(blob)
+    edit = data.draw(st.sampled_from(["keep", "flip", "cut", "extend", "random"]))
+    if edit == "flip":
+        bit = data.draw(st.integers(0, len(blob) * 8 - 1))
+        blob[bit // 8] ^= 1 << (bit % 8)
+    elif edit == "cut":
+        del blob[data.draw(st.integers(0, len(blob) - 1)) :]
+    elif edit == "extend":
+        blob += data.draw(st.binary(min_size=1, max_size=8))
+    elif edit == "random":
+        blob = bytearray(data.draw(st.binary(max_size=64)))
+    return bytes(blob)
+
+
+def _round_trips_or_raises(decode, blob):
+    start = time.perf_counter()
+    try:
+        value = decode(blob)
+    except ValueError:
+        value = None
+    assert time.perf_counter() - start < 0.1
+    if value is not None:
+        assert value.to_bytes() == blob
+
+
+@settings(max_examples=200, deadline=None)
+@given(party_count=st.sampled_from([2, 3]), input_bits=st.integers(1, 6),
+       output_len=st.integers(1, 8), data=st.data())
+def test_key_decode_round_trips_or_raises(party_count, input_bits, output_len, data):
+    params = DpfParams(input_bits, output_len, party_count)
+    keys = dpf_gen(0, bytes(output_len), params, rng=data.draw(st.integers(0, 2**32)))
+    blob = keys[data.draw(st.integers(0, party_count - 1))].to_bytes()
+    _round_trips_or_raises(DpfKey.from_bytes, _edited(blob, data))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_database_decode_round_trips_or_raises(data):
+    params = DpfParams(4, 6, 2)
+    blob = data.draw(st.binary(min_size=96, max_size=96))
+    _round_trips_or_raises(lambda b: ShareDatabase.from_bytes(b, params), _edited(blob, data))
+
+
 def test_empty_row_selection_rejected():
     params = DpfParams(4, 3, 2)
     key = dpf_gen(5, b"abc", params, rng=5)[0]
@@ -322,15 +367,6 @@ def test_accumulate_linearity():
     assert epoch.delta_share == expected
 
 
-def test_sealed_epoch_rejects_accumulation():
-    params = DpfParams(4, 2, 2)
-    key = dpf_gen(1, b"zz", params, rng=1)[0]
-    epoch = Epoch(epoch_id=1, params=params)
-    seal_epoch(epoch)
-    with pytest.raises(SealedEpochError):
-        server_accumulate(epoch, key)
-
-
 def test_one_client_two_servers_deltas_reconstruct():
     params = DpfParams(6, 5, 2)
     keys = dpf_gen(44, b"early", params, rng=10)
@@ -341,45 +377,6 @@ def test_one_client_two_servers_deltas_reconstruct():
     combined.xor_update(epochs[1].delta_share)
     assert combined.slot(44) == b"early"
     assert not np.delete(combined.slots, 44, axis=0).any()
-
-
-def test_combine_epoch_multi_client():
-    params = DpfParams(6, 4, 2)
-    rng = Random(50)
-    writes = {1: b"aaaa", 17: b"bbbb", 60: b"cccc"}
-    epochs = [Epoch(epoch_id=9, params=params) for _ in range(2)]
-    for alpha, beta in writes.items():
-        keys = dpf_gen(alpha, beta, params, rng=rng.randrange(2**32))
-        for epoch, key in zip(epochs, keys):
-            server_accumulate(epoch, key)
-    for epoch in epochs:
-        seal_epoch(epoch)
-    out0 = combine_epoch(epochs[0], [epochs[1].delta_share])
-    out1 = combine_epoch(epochs[1], [epochs[0].delta_share])
-    assert out0 == out1  # both servers compute the same database
-    expected = np.zeros((params.domain_size, params.output_len), dtype=np.uint8)
-    for alpha, beta in writes.items():
-        expected[alpha] = np.frombuffer(beta, dtype=np.uint8)
-    assert np.array_equal(out0.slots, expected)
-
-
-def test_combine_requires_sealed_and_matching_dims():
-    params = DpfParams(4, 2, 2)
-    epoch = Epoch(epoch_id=1, params=params)
-    with pytest.raises(SealedEpochError):
-        combine_epoch(epoch, [])
-    seal_epoch(epoch)
-    other = ShareDatabase.zeros(DpfParams(5, 2, 2))
-    with pytest.raises(ValueError):
-        combine_epoch(epoch, [other])
-
-
-def test_zero_clients_all_zero_output():
-    params = DpfParams(4, 2, 2)
-    epoch = Epoch(epoch_id=1, params=params)
-    seal_epoch(epoch)
-    out = combine_epoch(epoch, [ShareDatabase.zeros(params)])
-    assert not out.slots.any()
 
 
 # --- check-ins ---------------------------------------------------------------
@@ -443,6 +440,36 @@ def test_slot_codec_edges():
     assert decode_slot(bytes(31) + b"\x01")[0] == "garbled"  # one stray byte is not empty
 
 
+@st.composite
+def _sparse_databases(draw):
+    """A mostly empty database: valid slots, random rows, single stray bytes and zero rows."""
+    params = DpfParams(draw(st.integers(1, 8)), draw(st.integers(SLOT_HEADER_LEN, 24)), 2)
+    db = ShareDatabase.zeros(params)
+    width = params.output_len
+    for index in draw(st.lists(st.integers(0, params.domain_size - 1), max_size=12)):
+        kind = draw(st.sampled_from(["message", "random", "stray", "zero"]))
+        if kind == "message":
+            row = encode_slot(draw(st.binary(max_size=width - SLOT_HEADER_LEN)), width)
+        elif kind == "random":
+            row = draw(st.binary(min_size=width, max_size=width))
+        elif kind == "stray":
+            row = bytearray(width)
+            row[draw(st.integers(0, width - 1))] = draw(st.integers(1, 255))
+        else:
+            row = bytes(width)
+        db.slots[index] = np.frombuffer(bytes(row), dtype=np.uint8)
+    return db
+
+
+@settings(max_examples=200, deadline=None)
+@given(db=_sparse_databases())
+def test_decoded_agrees_with_decode_slot(db):
+    # decode_slot over every slot is the oracle for the one-scan reader
+    slots = (decode_slot(db.slot(i)) for i in range(len(db.slots)))
+    expected = {i: payload for i, (kind, payload) in enumerate(slots) if kind != "empty"}
+    assert db.decoded() == expected
+
+
 # --- server endpoint ----------------------------------------------------------
 
 def _run_epoch(servers, params, writers, epoch_id=1):
@@ -450,17 +477,7 @@ def _run_epoch(servers, params, writers, epoch_id=1):
         keys = dpf_gen(alpha, encode_slot(beta, params.output_len), params, rng=alpha)
         for server, key in zip(servers, keys):
             server.submit(epoch_id, key, client_id=cid)
-    return _close_epoch(servers, epoch_id)
-
-
-def _close_epoch(servers, epoch_id):
-    for server in servers:
-        server.seal(epoch_id)
-    for server in servers:
-        for other in servers:
-            if other is not server:
-                server.exchange(epoch_id, other.delta_bytes(epoch_id), other.membership(epoch_id))
-    return [server.output(epoch_id) for server in servers]
+    return close_epoch(servers, epoch_id)
 
 
 def test_epoch_server_end_to_end():
@@ -469,9 +486,81 @@ def test_epoch_server_end_to_end():
     writers = {"c1": (5, b"van"), "c2": (40, b"park")}
     outputs = _run_epoch(servers, params, writers)
     assert outputs[0] == outputs[1]
-    db = ShareDatabase.from_bytes(outputs[0], params)
-    assert decode_slot(db.slot(5)) == ("message", b"van")
-    assert decode_slot(db.slot(40)) == ("message", b"park")
+    assert ShareDatabase.from_bytes(outputs[0], params).decoded() == {5: b"van", 40: b"park"}
+
+
+def test_epoch_server_rejects_peer_count_other_than_party_count():
+    # Three 3-party servers told of 2 peers used to output after one remote delta.
+    params = DpfParams(6, 16, 3)
+    with pytest.raises(ValueError, match="peer_count"):
+        EpochServer(0, params, peer_count=2)
+    with pytest.raises(ValueError, match="peer_count"):
+        EpochServer(0, params, peer_count=4)
+    servers = [EpochServer(i, params, peer_count=3) for i in range(3)]
+    for server in servers:
+        server.seal(1)
+    servers[0].exchange(1, servers[1].delta_bytes(1), servers[1].membership(1))
+    with pytest.raises(EpochInvalid, match="have 1 of 2"):
+        servers[0].output(1)
+
+
+def test_sealed_epoch_rejects_accumulation():
+    params = DpfParams(4, 2, 2)
+    server = EpochServer(0, params, peer_count=2)
+    key = dpf_gen(1, b"zz", params, rng=1)[0]
+    server.seal(1)
+    with pytest.raises(SealedEpochError):
+        server.submit(1, key, client_id="late")
+    with pytest.raises(SealedEpochError):
+        server.seal(1)
+    assert server.membership(1) == EpochServer(0, params, peer_count=2).membership(1)
+
+
+def test_close_epoch_multi_client():
+    params = DpfParams(6, 4, 3)
+    rng = Random(50)
+    writes = {1: b"aaaa", 17: b"bbbb", 60: b"cccc"}
+    servers = [EpochServer(i, params, peer_count=3) for i in range(3)]
+    own = [ShareDatabase.zeros(params) for _ in servers]
+    for alpha, beta in writes.items():
+        keys = dpf_gen(alpha, beta, params, rng=rng.randrange(2**32))
+        for server, delta, key in zip(servers, own, keys):
+            server.submit(9, key, client_id=f"c{alpha}")
+            delta.xor_update(eval_full(key))
+    outputs = close_epoch(servers, 9)
+    assert outputs[0] == outputs[1] == outputs[2]  # every server computes the same database
+    expected = np.zeros((params.domain_size, params.output_len), dtype=np.uint8)
+    for alpha, beta in writes.items():
+        expected[alpha] = np.frombuffer(beta, dtype=np.uint8)
+    assert outputs[0] == expected.tobytes()
+    # output combines into a copy, so each server still serves its own delta
+    assert [server.delta_bytes(9) for server in servers] == [d.to_bytes() for d in own]
+    assert [server.output(9) for server in servers] == outputs
+
+
+def test_output_requires_seal_and_matching_delta_length():
+    params = DpfParams(4, 2, 2)
+    servers = [EpochServer(i, params, peer_count=2) for i in range(2)]
+    with pytest.raises(SealedEpochError):
+        servers[0].output(1)
+    for server in servers:
+        server.seal(1)
+    short = servers[1].delta_bytes(1)[:-1]
+    with pytest.raises(ValueError, match="database must be"):
+        servers[0].exchange(1, short, servers[1].membership(1))
+    wider = ShareDatabase.zeros(DpfParams(5, 2, 2)).to_bytes()
+    with pytest.raises(ValueError, match="database must be"):
+        servers[0].exchange(1, wider, servers[1].membership(1))
+    with pytest.raises(EpochInvalid):
+        servers[0].output(1)  # neither bad delta was kept
+
+
+def test_zero_clients_all_zero_output():
+    params = DpfParams(4, 2, 2)
+    servers = [EpochServer(i, params, peer_count=2) for i in range(2)]
+    outputs = close_epoch(servers, 1)
+    assert outputs == [bytes(params.domain_size * params.output_len)] * 2
+    assert ShareDatabase.from_bytes(outputs[0], params).decoded() == {}
 
 
 def test_epoch_server_rejects_duplicate_client_before_accumulating():
@@ -488,9 +577,8 @@ def test_epoch_server_rejects_duplicate_client_before_accumulating():
     with pytest.raises(ValueError):
         servers[0].submit(1, replay[0], client_id="c1")  # a new key under a used id
     assert servers[0].membership(1) == servers[1].membership(1) == digest
-    db = ShareDatabase.from_bytes(_close_epoch(servers, 1)[0], params)
-    assert decode_slot(db.slot(5)) == ("message", b"van")
-    assert decode_slot(db.slot(40)) == ("empty", None)
+    db = ShareDatabase.from_bytes(close_epoch(servers, 1)[0], params)
+    assert db.decoded() == {5: b"van"}  # slot 40 stays empty
 
 
 def test_epoch_server_rejects_misrouted_key():
