@@ -25,10 +25,8 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import secrets
 from dataclasses import dataclass
 from enum import Enum
-from random import Random
 
 import numpy as np
 from cryptography.hazmat.primitives import hashes, padding
@@ -66,17 +64,6 @@ class CertStatus(Enum):
     VALID = "valid"
     EXPIRED = "expired"
     BAD_SIGNATURE = "bad_signature"
-
-
-def make_rng(seed: int | None = None) -> Random:
-    """Source of simulation randomness; explicit seeds give reproducible runs."""
-    return Random(seed)
-
-
-def random_key(rng: Random | None = None) -> "SymmetricKey":
-    if rng is None:
-        return SymmetricKey(secrets.token_bytes(KEY_LEN))
-    return SymmetricKey(rng.randbytes(KEY_LEN))
 
 
 def prg_permute_into(blocks, out) -> None:

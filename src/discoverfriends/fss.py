@@ -26,10 +26,9 @@ is the same plaintext database on every server.
 from __future__ import annotations
 
 import hashlib
-import secrets
 from dataclasses import dataclass, field
 from itertools import combinations
-from random import Random
+from random import Random, SystemRandom
 
 import numpy as np
 
@@ -112,27 +111,24 @@ class DpfParams:
 
 @dataclass
 class DpfKey:
-    """One party's share of a point function."""
+    """One party's share of a point function, held in its wire layout."""
 
     party_index: int
     params: DpfParams
-    row_seeds: list[list[bytes]]  # grid_rows x seeds_per_row, 16B each
-    correction_words: list[bytes]  # seeds_per_row entries, word_len each
-    row_bits: list[int]  # per row, a seeds_per_row-bit selection mask
+    row_seeds: np.ndarray  # uint8 (grid_rows, seeds_per_row, SEED_LEN)
+    correction_words: np.ndarray  # uint8 (seeds_per_row, word_len)
+    selection: np.ndarray  # bool (grid_rows, seeds_per_row): the slots each row XORs
 
     def to_bytes(self) -> bytes:
         p = self.params
-        out = bytearray()
-        out += bytes([self.party_index, p.input_bits, p.party_count])
-        out += p.output_len.to_bytes(4, "little")
-        for row in self.row_seeds:
-            for seed in row:
-                out += seed
-        for word in self.correction_words:
-            out += word
-        for bits in self.row_bits:
-            out += bits.to_bytes(p.mask_bytes, "little")
-        return bytes(out)
+        masks = np.packbits(self.selection, axis=1, bitorder="little")
+        return b"".join([
+            bytes([self.party_index, p.input_bits, p.party_count]),
+            p.output_len.to_bytes(4, "little"),
+            self.row_seeds.tobytes(),
+            self.correction_words.tobytes(),
+            masks.tobytes(),
+        ])
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "DpfKey":
@@ -145,36 +141,42 @@ class DpfKey:
             raise ValueError(f"party index {party_index} outside {party_count} parties")
         if len(blob) != p.key_len:
             raise ValueError(f"key encoding must be {p.key_len} bytes, got {len(blob)}")
-        off = _KEY_HEADER_LEN
-        row_seeds = []
-        for _ in range(p.grid_rows):
-            row = []
-            for _ in range(p.seeds_per_row):
-                row.append(blob[off : off + SEED_LEN])
-                off += SEED_LEN
-            row_seeds.append(row)
-        correction_words = []
-        for _ in range(p.seeds_per_row):
-            correction_words.append(blob[off : off + p.word_len])
-            off += p.word_len
-        row_bits = []
-        for _ in range(p.grid_rows):
-            row_bits.append(int.from_bytes(blob[off : off + p.mask_bytes], "little"))
-            off += p.mask_bytes
-        return cls(party_index, p, row_seeds, correction_words, row_bits)
+        data = np.frombuffer(blob, dtype=np.uint8)
+        words_at = _KEY_HEADER_LEN + p.grid_rows * p.seeds_per_row * SEED_LEN
+        masks_at = words_at + p.seeds_per_row * p.word_len
+        return cls(
+            party_index,
+            p,
+            data[_KEY_HEADER_LEN:words_at].reshape(p.grid_rows, p.seeds_per_row, SEED_LEN),
+            data[words_at:masks_at].reshape(p.seeds_per_row, p.word_len),
+            _unpack_selection(data[masks_at:].reshape(p.grid_rows, p.mask_bytes), p.seeds_per_row),
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DpfKey):
+            return NotImplemented
+        return self.to_bytes() == other.to_bytes()
+
+
+def _unpack_selection(masks: np.ndarray, slots: int) -> np.ndarray:
+    """Little-endian bit masks, (..., mask_bytes) uint8, as (..., slots) bools."""
+    bits = np.unpackbits(masks, axis=-1, bitorder="little").view(bool)
+    # A set spare bit would be dropped on re-encoding.
+    if bits[..., slots:].any():
+        raise ValueError(f"selection mask sets a bit past slot {slots - 1}")
+    return bits[..., :slots]
 
 
 def _resolve_rng(rng: Random | int | None) -> Random:
     if isinstance(rng, Random):
         return rng
     if rng is None:
-        return Random(secrets.randbits(128))
+        return SystemRandom()
     return Random(rng)
 
 
-def _stack(blobs: list[bytes], width: int) -> np.ndarray:
-    """Equal-length byte strings as the rows of a (len(blobs), width) uint8 array."""
-    return np.frombuffer(b"".join(blobs), dtype=np.uint8).reshape(len(blobs), width)
+def _random_bytes(rng: Random, shape: tuple[int, ...]) -> np.ndarray:
+    return np.frombuffer(rng.randbytes(int(np.prod(shape))), dtype=np.uint8).reshape(shape)
 
 
 def _even_odd_patterns(party_count: int) -> tuple[list[int], list[int]]:
@@ -221,57 +223,52 @@ def _sample_selection_matrix(
 def dpf_gen(
     alpha: int, beta: bytes, params: DpfParams, rng: Random | int | None = None
 ) -> list[DpfKey]:
-    """Split the point function (alpha -> beta) into party_count keys."""
+    """Split the point function (alpha -> beta) into party_count keys.
+
+    ``rng`` is a Random, an int seed, or None for the OS CSPRNG.
+    """
     if not 0 <= alpha < params.domain_size:
         raise ValueError(f"alpha {alpha} outside domain of size {params.domain_size}")
     if len(beta) != params.output_len:
         raise ValueError(f"beta must be {params.output_len} bytes, got {len(beta)}")
     rng = _resolve_rng(rng)
     rows, cols = params.grid_rows, params.grid_cols
-    slots = params.seeds_per_row
+    parties, slots = params.party_count, params.seeds_per_row
     word_len = params.word_len
     special_row, special_col = divmod(alpha, cols)
 
-    true_seeds = [[rng.randbytes(SEED_LEN) for _ in range(slots)] for _ in range(rows)]
+    # One randbytes(16 * n) call returns the bytes of n randbytes(16) calls.
+    true_seeds = _random_bytes(rng, (rows, slots, SEED_LEN))
 
     # Correction words: all but the last are random; the last is pinned so
     # the full XOR over the special row's expansions and all words leaves
-    # beta at the special column and zero elsewhere.
-    words = [rng.randbytes(word_len) for _ in range(slots - 1)]
-    target = bytearray(word_len)
+    # beta at the special column and zero elsewhere; until then it holds
+    # that target row. Each random word keeps its own draw: joined, word
+    # lengths not a multiple of 4 would draw different bytes.
+    words = np.zeros((slots, word_len), dtype=np.uint8)
+    for l in range(slots - 1):
+        words[l] = _random_bytes(rng, (word_len,))
     start = special_col * params.output_len
-    target[start : start + params.output_len] = beta
-    expansions = crypto.keystream_many(_stack(true_seeds[special_row], SEED_LEN), word_len)
-    last = np.bitwise_xor.reduce(np.vstack([expansions, _stack([*words, bytes(target)], word_len)]))
-    words.append(last.tobytes())
+    words[-1, start : start + params.output_len] = np.frombuffer(beta, dtype=np.uint8)
+    expansions = crypto.keystream_many(true_seeds[special_row], word_len)
+    words[-1] = np.bitwise_xor.reduce(np.vstack([expansions, words]))
 
-    patterns = _even_odd_patterns(params.party_count)
-    selections = [
-        _sample_selection_matrix(rng, patterns, params.party_count, slots, i == special_row)
+    patterns = _even_odd_patterns(parties)
+    masks = [
+        _sample_selection_matrix(rng, patterns, parties, slots, i == special_row)
         for i in range(rows)
     ]
+    packed = b"".join(
+        masks[i][t].to_bytes(params.mask_bytes, "little") for t in range(parties) for i in range(rows)
+    )
+    selection = _unpack_selection(
+        np.frombuffer(packed, dtype=np.uint8).reshape(parties, rows, params.mask_bytes), slots
+    )
 
-    keys = []
-    for t in range(params.party_count):
-        seeds_t = []
-        for i in range(rows):
-            mask = selections[i][t]
-            seeds_t.append(
-                [
-                    true_seeds[i][l] if (mask >> l) & 1 else rng.randbytes(SEED_LEN)
-                    for l in range(slots)
-                ]
-            )
-        keys.append(
-            DpfKey(
-                party_index=t,
-                params=params,
-                row_seeds=seeds_t,
-                correction_words=list(words),
-                row_bits=[selections[i][t] for i in range(rows)],
-            )
-        )
-    return keys
+    # Unselected slots get per-party filler, drawn party, then row, then slot.
+    seeds = np.broadcast_to(true_seeds, (parties, rows, slots, SEED_LEN)).copy()
+    seeds[~selection] = _random_bytes(rng, (int(np.count_nonzero(~selection)), SEED_LEN))
+    return [DpfKey(t, params, seeds[t], words, selection[t]) for t in range(parties)]
 
 
 def _expand_rows(key: DpfKey, rows: range) -> np.ndarray:
@@ -284,21 +281,20 @@ def _expand_rows(key: DpfKey, rows: range) -> np.ndarray:
     row that has that many selections.
     """
     p = key.params
-    words = _stack(key.correction_words, p.word_len)
     out = np.empty((len(rows), p.word_len), dtype=np.uint8)
     step = max(1, _EVAL_CHUNK_BYTES // p.word_len)
     for c0 in range(0, len(rows), step):
-        chunk = rows[c0 : c0 + step]
-        picks = [[l for l in range(p.seeds_per_row) if (key.row_bits[i] >> l) & 1] for i in chunk]
-        if not all(picks):
+        r0 = rows.start + c0
+        selected = key.selection[r0 : min(r0 + step, rows.stop)]
+        counts = np.count_nonzero(selected, axis=1)
+        if not counts.all():
             # dpf_gen never emits an empty selection
             raise ValueError("key has a row with no selected seeds")
-        counts = np.array([len(slots) for slots in picks])
         starts = np.cumsum(counts) - counts
-        seeds = _stack([key.row_seeds[i][l] for i, slots in zip(chunk, picks) for l in slots], SEED_LEN)
-        contrib = crypto.keystream_many(seeds, p.word_len)
-        contrib ^= words[[l for slots in picks for l in slots]]
-        out[c0 : c0 + len(chunk)] = contrib[starts]
+        picked_rows, picked_slots = np.nonzero(selected)
+        contrib = crypto.keystream_many(key.row_seeds[r0 + picked_rows, picked_slots], p.word_len)
+        contrib ^= key.correction_words[picked_slots]
+        out[c0 : c0 + len(selected)] = contrib[starts]
         for level in range(1, counts.max()):
             hit = np.flatnonzero(counts > level)
             out[c0 + hit] ^= contrib[starts[hit] + level]

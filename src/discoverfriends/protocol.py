@@ -30,10 +30,11 @@ import logging
 import struct
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from random import Random
+from random import Random, SystemRandom
 
 from . import crypto, identity, keymgmt
-from .bloom import BloomFilter, BloomParams, clear_spare_bits
+from .bloom import BloomFilter, BloomParams
+from .bloom import clear_spare_bits  # noqa: F401  bench/test_bench.py reads protocol.clear_spare_bits
 from .crypto import Certificate
 from .identity import CompositeId, FriendList
 
@@ -249,7 +250,7 @@ def create_session(
         friends=friends,
         keypair=keypair,
         certificate=cert,
-        rng=rng if rng is not None else crypto.make_rng(),
+        rng=rng if rng is not None else SystemRandom(),
     )
 
 
@@ -290,7 +291,7 @@ def build_setup_request(
     for target in targets:
         bf = bf.insert(target.digest)
     mask = identity.id_mask(initiator.composite, params.m_bits)
-    bf_plus = clear_spare_bits(crypto.xor_bytes(bf.bits, mask), params.m_bits)
+    bf_plus = bf.xor_mask(mask).bits
     own_key = identity.sym_key_of(initiator.composite)
     cf = crypto.sym_encrypt(own_key, initiator.certificate.to_bytes())
     initiator._advance(Phase.DISCOVERING)
@@ -309,7 +310,7 @@ def process_setup_request(
     if not req.bf_c.contains(target.composite.digest):
         return Ignore()
     m_bits = req.bf_c.params.m_bits
-    mask = clear_spare_bits(crypto.xor_bytes(req.bf_c.bits, req.bf_c_plus), m_bits)
+    mask = req.bf_c.xor_mask(req.bf_c_plus).bits
     initiator_id = target._masks_for(m_bits).get(mask)
     if initiator_id is None:
         return Reject("unknown_initiator")
@@ -395,7 +396,7 @@ def send_message(
         raise ProtocolError(
             f"plaintext of {len(plaintext)} bytes exceeds the {MAX_PLAINTEXT}-byte limit"
         )
-    key = crypto.random_key(sender.rng)
+    key = crypto.SymmetricKey(sender.rng.randbytes(crypto.KEY_LEN))
     body = crypto.sym_encrypt(key, plaintext)
     wrapped = crypto.wrap_key(crypto.parse_public_key(peer.public_key), key)
     return DataMessage(wrapped_key=wrapped, body=body)

@@ -720,7 +720,7 @@ def run_adversary(cfg: ScenarioConfig) -> Report:
     request = protocol.build_setup_request(initiator, targets, params, now)
 
     # Eve runs the mask recovery offline against her own friend list.
-    recovered_mask = crypto.xor_bytes(request.bf_c.bits, request.bf_c_plus)
+    recovered_mask = request.bf_c.xor_mask(request.bf_c_plus).bits
     eve_masks = {identity.id_mask(c, params.m_bits): c for c in eve.friends.composites()}
     identified = eve_masks.get(recovered_mask)
     cf_readable = False

@@ -2,7 +2,10 @@ import hashlib
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
+from wire_edits import edited, round_trips_or_raises
 
 from discoverfriends.bloom import (
     BloomFilter,
@@ -196,3 +199,12 @@ def test_deserialization_rejects_wrong_geometry():
         BloomFilter.from_bytes(blob, 100, 0.02)
     with pytest.raises(ValueError):
         BloomFilter.from_bytes(blob[:40], 1000, 0.02)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_deserialization_round_trips_or_raises(data):
+    f = BloomFilter(derive_params(20, 0.05))  # 125 bits: three spare bits in the last byte
+    for i in range(data.draw(st.integers(0, 20))):
+        f = f.insert(f"x{i}".encode())
+    round_trips_or_raises(lambda b: BloomFilter.from_bytes(b, 20, 0.05), edited(f.to_bytes(), data))

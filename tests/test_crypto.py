@@ -6,6 +6,7 @@ import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from wire_edits import edited, round_trips_or_raises
 
 from discoverfriends import crypto
 from discoverfriends.crypto import (
@@ -195,6 +196,13 @@ def test_certificate_serialized_size_and_round_trip(shared_keypair):
     blob = cert.to_bytes()
     assert len(blob) == 481
     assert Certificate.from_bytes(blob) == cert
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_certificate_decode_round_trips_or_raises(shared_keypair, data):
+    cert = make_certificate(shared_keypair, b"\x07" * 16, NOW, NOW + 3600)
+    round_trips_or_raises(Certificate.from_bytes, edited(cert.to_bytes(), data))
 
 
 def test_certificate_validity_window(shared_keypair):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from wire_edits import edited, round_trips_or_raises
 
 from discoverfriends.fss import (
     SLOT_HEADER_LEN,
@@ -169,6 +170,70 @@ def test_eval_full_known_answers(shape, alpha, seed, digests):
     assert [hashlib.sha256(eval_full(k).to_bytes()).hexdigest() for k in keys] == digests
 
 
+# SHA-256 of each party's key.to_bytes() for the dpf_gen calls of EVAL_FULL_KNOWN_ANSWERS.
+KEY_BYTES_KNOWN_ANSWERS = [
+    ((14, 187, 2), 12345, 7, [
+        "e290758705a452595e8a9f9bcb57d51750eef2af57d61cbc34c18dd84734e3bd",
+        "f0aa07c644bdbd55cc804f91642cf38167d4d544334a4e9cdb57c0dc19fccb75",
+    ]),
+    ((11, 61, 3), 1000, 8, [
+        "a838395cf8f1bb1549d0714f79a13147129c6d1a5795507e3dd051793847d3e2",
+        "0e65001dff21ea635d5001b13e0fa8016711ac45f30c992abcfa4a27ae370bc6",
+        "a98f2076a10ef8c34fb0ac27182fe4d9335a1c009c24692305ff817361fb4b18",
+    ]),
+    ((5, 7, 2), 17, 9, [
+        "f7c314ca1e45099037825154a44e77748373a6b5db58b81382d5a655f461a274",
+        "92598c3486698d106c25c35a37b15e0ffdaf65c057c73619b0641bf14ad7cdc8",
+    ]),
+]
+
+
+@pytest.mark.parametrize("shape, alpha, seed, digests", KEY_BYTES_KNOWN_ANSWERS)
+def test_key_bytes_known_answers(shape, alpha, seed, digests):
+    params = DpfParams(*shape)
+    keys = dpf_gen(alpha, encode_slot(b"pin", params.output_len), params, rng=seed)
+    assert [hashlib.sha256(k.to_bytes()).hexdigest() for k in keys] == digests
+
+
+def _undo_right_shift(y, shift):
+    x = y
+    for _ in range(32 // shift):
+        x = y ^ (x >> shift)
+    return x
+
+
+def _undo_left_shift(y, shift, mask):
+    x = y
+    for _ in range(32 // shift):
+        x = y ^ ((x << shift) & mask)
+    return x
+
+
+def _predicts_next_word(words):
+    """Whether 624 MT19937 outputs, untempered into a cloned Random, predict the 625th."""
+    state = []
+    for y in words[:624]:
+        y = _undo_right_shift(int(y), 18)
+        y = _undo_left_shift(y, 15, 0xEFC60000)
+        y = _undo_left_shift(y, 7, 0x9D2C5680)
+        state.append(_undo_right_shift(y, 11))
+    clone = Random()
+    clone.setstate((3, (*state, 624), None))
+    return clone.getrandbits(32) == int(words[624])
+
+
+def test_default_rng_keys_do_not_reveal_the_generator():
+    # A p=2 key's one random correction word is 2,992 bytes of raw generator output.
+    params = DpfParams(8, 187, 2)
+
+    def word_outputs(rng):
+        key = dpf_gen(3, bytes(187), params, rng=rng)[0]
+        return np.frombuffer(bytes(key.correction_words[0]), dtype="<u4")
+
+    assert _predicts_next_word(word_outputs(Random(5)))  # the clone works on an MT stream
+    assert not _predicts_next_word(word_outputs(None))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     party_count=st.sampled_from([2, 3]),
@@ -265,6 +330,15 @@ def test_key_decode_rejects_large_party_counts_quickly(party_count):
     assert time.perf_counter() - start < 0.1
 
 
+@pytest.mark.parametrize("party_count", [2, 3])
+def test_key_decode_rejects_mask_bits_past_seeds_per_row(party_count):
+    params = DpfParams(4, 3, party_count)
+    blob = bytearray(dpf_gen(5, b"abc", params, rng=5)[0].to_bytes())
+    blob[-1] |= 1 << params.seeds_per_row  # the lowest spare bit of the last row's mask
+    with pytest.raises(ValueError, match="past slot"):
+        DpfKey.from_bytes(bytes(blob))
+
+
 def test_key_decode_checks_length_before_parsing():
     params = DpfParams(11, 187, 3)
     blob = dpf_gen(5, bytes(187), params, rng=5)[1].to_bytes()
@@ -276,55 +350,28 @@ def test_key_decode_checks_length_before_parsing():
         assert time.perf_counter() - start < 0.1
 
 
-def _edited(blob, data):
-    """``blob`` kept, with one bit flipped, cut short or extended; or random bytes."""
-    blob = bytearray(blob)
-    edit = data.draw(st.sampled_from(["keep", "flip", "cut", "extend", "random"]))
-    if edit == "flip":
-        bit = data.draw(st.integers(0, len(blob) * 8 - 1))
-        blob[bit // 8] ^= 1 << (bit % 8)
-    elif edit == "cut":
-        del blob[data.draw(st.integers(0, len(blob) - 1)) :]
-    elif edit == "extend":
-        blob += data.draw(st.binary(min_size=1, max_size=8))
-    elif edit == "random":
-        blob = bytearray(data.draw(st.binary(max_size=64)))
-    return bytes(blob)
-
-
-def _round_trips_or_raises(decode, blob):
-    start = time.perf_counter()
-    try:
-        value = decode(blob)
-    except ValueError:
-        value = None
-    assert time.perf_counter() - start < 0.1
-    if value is not None:
-        assert value.to_bytes() == blob
-
-
 @settings(max_examples=200, deadline=None)
 @given(party_count=st.sampled_from([2, 3]), input_bits=st.integers(1, 6),
        output_len=st.integers(1, 8), data=st.data())
-def test_key_decode_round_trips_or_raises(party_count, input_bits, output_len, data):
+def test_key_decoderound_trips_or_raises(party_count, input_bits, output_len, data):
     params = DpfParams(input_bits, output_len, party_count)
     keys = dpf_gen(0, bytes(output_len), params, rng=data.draw(st.integers(0, 2**32)))
     blob = keys[data.draw(st.integers(0, party_count - 1))].to_bytes()
-    _round_trips_or_raises(DpfKey.from_bytes, _edited(blob, data))
+    round_trips_or_raises(DpfKey.from_bytes, edited(blob, data))
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_database_decode_round_trips_or_raises(data):
+def test_database_decoderound_trips_or_raises(data):
     params = DpfParams(4, 6, 2)
     blob = data.draw(st.binary(min_size=96, max_size=96))
-    _round_trips_or_raises(lambda b: ShareDatabase.from_bytes(b, params), _edited(blob, data))
+    round_trips_or_raises(lambda b: ShareDatabase.from_bytes(b, params), edited(blob, data))
 
 
 def test_empty_row_selection_rejected():
     params = DpfParams(4, 3, 2)
     key = dpf_gen(5, b"abc", params, rng=5)[0]
-    key.row_bits[2] = 0
+    key.selection[2] = False
     with pytest.raises(ValueError, match="no selected seeds"):
         eval_full(key)
     with pytest.raises(ValueError, match="no selected seeds"):

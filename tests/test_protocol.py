@@ -1,6 +1,6 @@
 import logging
 from dataclasses import replace
-from random import Random
+from random import Random, SystemRandom
 
 import pytest
 from hypothesis import given, settings
@@ -372,6 +372,11 @@ def test_fresh_key_per_message():
     b = send_message(initiator, targets[0].composite, b"same")
     assert a.wrapped_key != b.wrapped_key
     assert a.body != b.body
+
+
+def test_unseeded_session_draws_message_keys_from_the_os():
+    session = create_session(Role.TARGET, _comp("unseeded"), FriendList(), NOW, VALIDITY)
+    assert isinstance(session.rng, SystemRandom)
 
 
 def test_max_payload_gives_reference_body_size():
