@@ -268,7 +268,7 @@ def dpf_gen(
     # Unselected slots get per-party filler, drawn party, then row, then slot.
     seeds = np.broadcast_to(true_seeds, (parties, rows, slots, SEED_LEN)).copy()
     seeds[~selection] = _random_bytes(rng, (int(np.count_nonzero(~selection)), SEED_LEN))
-    return [DpfKey(t, params, seeds[t], words, selection[t]) for t in range(parties)]
+    return [DpfKey(t, params, seeds[t], words.copy(), selection[t]) for t in range(parties)]
 
 
 def _expand_rows(key: DpfKey, rows: range) -> np.ndarray:
