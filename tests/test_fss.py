@@ -353,7 +353,7 @@ def test_key_decode_checks_length_before_parsing():
 @settings(max_examples=200, deadline=None)
 @given(party_count=st.sampled_from([2, 3]), input_bits=st.integers(1, 6),
        output_len=st.integers(1, 8), data=st.data())
-def test_key_decoderound_trips_or_raises(party_count, input_bits, output_len, data):
+def test_key_decode_round_trips_or_raises(party_count, input_bits, output_len, data):
     params = DpfParams(input_bits, output_len, party_count)
     keys = dpf_gen(0, bytes(output_len), params, rng=data.draw(st.integers(0, 2**32)))
     blob = keys[data.draw(st.integers(0, party_count - 1))].to_bytes()
@@ -362,7 +362,7 @@ def test_key_decoderound_trips_or_raises(party_count, input_bits, output_len, da
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_database_decoderound_trips_or_raises(data):
+def test_database_decode_round_trips_or_raises(data):
     params = DpfParams(4, 6, 2)
     blob = data.draw(st.binary(min_size=96, max_size=96))
     round_trips_or_raises(lambda b: ShareDatabase.from_bytes(b, params), edited(blob, data))
