@@ -191,6 +191,8 @@ class BloomFilter:
             raise ValueError(
                 f"payload must be {params.byte_length} bytes, got {len(payload)}"
             )
+        if clear_spare_bits(payload, m) != payload:
+            raise ValueError(f"payload sets a bit past m_bits={m}")
         return cls(params, payload)
 
 

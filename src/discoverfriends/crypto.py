@@ -50,6 +50,8 @@ _WRAP_PADDING = asym_padding.OAEP(
 
 # Fixed key for the expandable keystream generator; the seed is the secret.
 _PRG_KEY = hashlib.sha256(b"discoverfriends.keystream.v1").digest()[:16]
+# ECB keeps no state between whole-block calls, so one context serves them all.
+_PRG = Cipher(algorithms.AES(_PRG_KEY), modes.ECB()).encryptor()
 
 
 class IntegrityError(Exception):
@@ -69,15 +71,14 @@ class CertStatus(Enum):
 def prg_permute_into(blocks, out) -> None:
     """AES permutation under the fixed keystream key, from one buffer into another.
 
-    Whole blocks only, in one pass. ``out`` is one block longer than
-    ``blocks``: update_into needs that slack, and its contents are unspecified.
+    Whole blocks only, in one pass, through one process-wide ECB context,
+    which is not for concurrent use from threads. ``out`` is one block longer
+    than ``blocks``: update_into needs that slack; its contents are unspecified.
     """
     n = len(blocks)
     if n % BLOCK_LEN or len(out) != n + BLOCK_LEN:
         raise ValueError("blocks must be whole blocks and out one block longer")
-    enc = Cipher(algorithms.AES(_PRG_KEY), modes.ECB()).encryptor()
-    enc.update_into(blocks, out)
-    enc.finalize()
+    _PRG.update_into(blocks, out)
 
 
 def keystream_many(seeds: np.ndarray, length: int) -> np.ndarray:

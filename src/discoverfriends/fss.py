@@ -45,7 +45,7 @@ SLOT_HEADER_LEN = 4
 MAX_PARTIES = 8
 # Header of a key encoding: party index, input bits, party count, u32 output_len.
 _KEY_HEADER_LEN = 7
-# Row bytes expanded per chunk of _expand_rows.
+# Row bytes expanded per chunk of _fold_rows.
 _EVAL_CHUNK_BYTES = 1 << 18
 
 
@@ -271,34 +271,25 @@ def dpf_gen(
     return [DpfKey(t, params, seeds[t], words.copy(), selection[t]) for t in range(parties)]
 
 
-def _expand_rows(key: DpfKey, rows: range) -> np.ndarray:
-    """Per row, the XOR of its selected seed expansions and correction words.
+def _fold_rows(key: DpfKey, r0: int, out: np.ndarray) -> None:
+    """XOR the evaluations of rows r0, r0 + 1, ... into ``out`` (rows, word_len).
 
-    Rows go in fixed-size chunks, so the working set stays cache-resident
-    for any output_len and runtime stays proportional to the bytes
-    expanded. In a chunk, all selected seeds go through one keystream_many
-    call, and the XOR fold runs once per selection multiplicity over every
-    row that has that many selections.
+    A row's evaluation is the XOR of its selected seed expansions and
+    correction words. Per chunk of rows (sized to stay cache-resident) and
+    seed slot, one keystream_many call expands the rows selecting that slot;
+    a row appears at most once per slot, so the fancy-indexed XOR drops nothing.
     """
     p = key.params
-    out = np.empty((len(rows), p.word_len), dtype=np.uint8)
+    selection, seeds = key.selection[r0 : r0 + len(out)], key.row_seeds[r0 : r0 + len(out)]
+    if not selection.any(axis=1).all():  # checked before anything is written
+        raise ValueError("key has a row with no selected seeds")  # dpf_gen never emits one
     step = max(1, _EVAL_CHUNK_BYTES // p.word_len)
-    for c0 in range(0, len(rows), step):
-        r0 = rows.start + c0
-        selected = key.selection[r0 : min(r0 + step, rows.stop)]
-        counts = np.count_nonzero(selected, axis=1)
-        if not counts.all():
-            # dpf_gen never emits an empty selection
-            raise ValueError("key has a row with no selected seeds")
-        starts = np.cumsum(counts) - counts
-        picked_rows, picked_slots = np.nonzero(selected)
-        contrib = crypto.keystream_many(key.row_seeds[r0 + picked_rows, picked_slots], p.word_len)
-        contrib ^= key.correction_words[picked_slots]
-        out[c0 : c0 + len(selected)] = contrib[starts]
-        for level in range(1, counts.max()):
-            hit = np.flatnonzero(counts > level)
-            out[c0 + hit] ^= contrib[starts[hit] + level]
-    return out
+    for c0 in range(0, len(out), step):
+        for l in range(p.seeds_per_row):
+            rows = c0 + np.flatnonzero(selection[c0 : c0 + step, l])
+            ks = crypto.keystream_many(seeds[rows, l], p.word_len)
+            ks ^= key.correction_words[l]
+            out[rows] ^= ks
 
 
 def dpf_eval(key: DpfKey, x: int) -> bytes:
@@ -307,8 +298,9 @@ def dpf_eval(key: DpfKey, x: int) -> bytes:
     if not 0 <= x < p.domain_size:
         raise ValueError(f"x {x} outside domain of size {p.domain_size}")
     row, col = divmod(x, p.grid_cols)
-    expanded = _expand_rows(key, range(row, row + 1))[0]
-    return expanded[col * p.output_len : (col + 1) * p.output_len].tobytes()
+    expanded = np.zeros((1, p.word_len), dtype=np.uint8)
+    _fold_rows(key, row, expanded)
+    return expanded[0, col * p.output_len : (col + 1) * p.output_len].tobytes()
 
 
 @dataclass
@@ -358,10 +350,16 @@ class ShareDatabase:
         )
 
 
-def eval_full(key: DpfKey) -> ShareDatabase:
-    """Evaluate every index; matches dpf_eval pointwise."""
+def eval_full(key: DpfKey, into: ShareDatabase | None = None) -> ShareDatabase:
+    """XOR every index's evaluation into ``into`` (a fresh zero database if None) and return it."""
     p = key.params
-    return ShareDatabase(_expand_rows(key, range(p.grid_rows)).reshape(p.domain_size, p.output_len))
+    db = ShareDatabase.zeros(p) if into is None else into
+    if db.slots.shape != (p.domain_size, p.output_len):
+        raise ValueError("database dimensions do not match the key's parameters")
+    if not (db.slots.flags.writeable and db.slots.flags.c_contiguous):  # else reshape copies
+        raise ValueError("database must be writeable and C-contiguous")
+    _fold_rows(key, 0, db.slots.reshape(p.grid_rows, p.word_len))
+    return db
 
 
 @dataclass
@@ -381,14 +379,13 @@ class Epoch:
             self.delta_share = ShareDatabase.zeros(self.params)
 
 
-def server_accumulate(epoch: Epoch, key: DpfKey) -> Epoch:
+def server_accumulate(epoch: Epoch, key: DpfKey) -> None:
     """Fold one key's full evaluation into the epoch's delta share."""
     if epoch.state != "open":
         raise SealedEpochError(f"epoch {epoch.epoch_id} is {epoch.state}")
     if key.params != epoch.params:
         raise ValueError("key parameters do not match the epoch")
-    epoch.delta_share.xor_update(eval_full(key))
-    return epoch
+    eval_full(key, epoch.delta_share)
 
 
 def encode_slot(message: bytes, output_len: int) -> bytes:

@@ -208,3 +208,12 @@ def test_deserialization_round_trips_or_raises(data):
     for i in range(data.draw(st.integers(0, 20))):
         f = f.insert(f"x{i}".encode())
     round_trips_or_raises(lambda b: BloomFilter.from_bytes(b, 20, 0.05), edited(f.to_bytes(), data))
+
+
+def test_deserialization_rejects_set_spare_bits():
+    params = derive_params(20, 0.05)  # 125 bits: three spare bits in the last byte
+    blob = bytearray(BloomFilter(params).insert(b"x").to_bytes())
+    assert BloomFilter.from_bytes(bytes(blob), 20, 0.05).to_bytes() == blob
+    blob[-1] ^= 1 << 7  # bit 127, past m_bits
+    with pytest.raises(ValueError, match="past m_bits"):
+        BloomFilter.from_bytes(bytes(blob), 20, 0.05)

@@ -78,6 +78,33 @@ def test_keystream_many_rows_match_keystream_and_reference(seeds, length):
         assert row.tobytes() == keystream(seed, length) == _reference_keystream(seed, length)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    calls=st.lists(
+        st.tuples(st.integers(0, 3), st.sampled_from([0, 1, 15, 16, 17, 40, 100])),
+        min_size=2,
+        max_size=6,
+    ),
+    data=st.data(),
+)
+def test_keystream_many_calls_share_no_state(calls, data):
+    # Every call goes through one process-wide AES context; interleaving
+    # calls of other shapes must not change any call's rows.
+    seeds = [np.frombuffer(data.draw(st.binary(min_size=16 * k, max_size=16 * k)), dtype=np.uint8)
+             .reshape(k, 16) for k, _ in calls]
+    alone = []
+    for s, (_, length) in zip(seeds, calls):
+        alone.append(keystream_many(s, length))
+        keystream_many(s[:1], 23)  # a call of another shape between any two
+    order = data.draw(st.permutations(range(len(calls))))
+    interleaved = {i: keystream_many(seeds[i], calls[i][1]) for i in order}
+    for i, (s, (_, length)) in enumerate(zip(seeds, calls)):
+        assert np.array_equal(interleaved[i], alone[i])
+        assert [row.tobytes() for row in alone[i]] == [
+            _reference_keystream(seed.tobytes(), length) for seed in s
+        ]
+
+
 def test_keystream_many_edge_shapes_match_keystream():
     seeds = np.frombuffer(bytes(range(96)), dtype=np.uint8).reshape(6, 16)
     assert keystream_many(seeds[:0], 40).shape == (0, 40)

@@ -368,6 +368,49 @@ def test_database_decode_round_trips_or_raises(data):
     round_trips_or_raises(lambda b: ShareDatabase.from_bytes(b, params), edited(blob, data))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    input_bits=st.integers(1, 10),
+    output_len=st.sampled_from([1, 7, 16, 62, 187]),
+    party_count=st.sampled_from([2, 3, 4]),
+    data=st.data(),
+)
+def test_eval_full_folds_into_a_given_database(input_bits, output_len, party_count, data):
+    params = DpfParams(input_bits, output_len, party_count)
+    alpha = data.draw(st.integers(0, params.domain_size - 1))
+    beta = data.draw(st.binary(min_size=output_len, max_size=output_len))
+    key = dpf_gen(alpha, beta, params, rng=data.draw(st.integers(0, 2**32)))[0]
+    fresh = eval_full(key)
+    base = ShareDatabase(np.frombuffer(
+        Random(data.draw(st.integers(0, 2**32))).randbytes(params.domain_size * output_len),
+        dtype=np.uint8,
+    ).reshape(params.domain_size, output_len).copy())
+    base.slots[alpha] |= 1  # never all zero
+    into = base.copy()
+    assert eval_full(key, into) is into
+    assert np.array_equal(into.slots, base.slots ^ fresh.slots)
+    for x in data.draw(st.lists(st.integers(0, params.domain_size - 1), min_size=1, max_size=4)):
+        assert dpf_eval(key, x) == fresh.slot(x)
+
+
+def test_eval_full_rejects_databases_it_cannot_fold_into():
+    params = DpfParams(4, 3, 2)
+    key = dpf_gen(5, b"abc", params, rng=5)[0]
+    with pytest.raises(ValueError, match="dimensions"):
+        eval_full(key, ShareDatabase.zeros(DpfParams(4, 4, 2)))
+    with pytest.raises(ValueError, match="dimensions"):
+        eval_full(key, ShareDatabase.zeros(DpfParams(5, 3, 2)))
+    read_only = np.frombuffer(bytes(48), dtype=np.uint8).reshape(16, 3)
+    assert not read_only.flags.writeable
+    with pytest.raises(ValueError, match="writeable"):
+        eval_full(key, ShareDatabase(read_only))
+    strided = np.zeros((16, 6), dtype=np.uint8)[:, ::2]
+    assert strided.shape == (16, 3) and not strided.flags.c_contiguous
+    with pytest.raises(ValueError, match="C-contiguous"):
+        eval_full(key, ShareDatabase(strided))
+    assert not strided.any()
+
+
 def test_empty_row_selection_rejected():
     params = DpfParams(4, 3, 2)
     key = dpf_gen(5, b"abc", params, rng=5)[0]
@@ -376,6 +419,15 @@ def test_empty_row_selection_rejected():
         eval_full(key)
     with pytest.raises(ValueError, match="no selected seeds"):
         dpf_eval(key, 2 * params.grid_cols)
+    # Checked before any row is folded, so a server's delta is left as it
+    # was; one 256 KiB row per chunk puts rows 0 and 1 in earlier chunks.
+    wide = DpfParams(4, 1 << 16, 2)
+    key = dpf_gen(5, bytes(1 << 16), wide, rng=5)[0]
+    key.selection[2] = False
+    epoch = Epoch(epoch_id=1, params=wide)
+    with pytest.raises(ValueError, match="no selected seeds"):
+        server_accumulate(epoch, key)
+    assert not epoch.delta_share.slots.any()
 
 
 # --- epochs and accumulation ------------------------------------------------
